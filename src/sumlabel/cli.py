@@ -39,6 +39,17 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
             print(f"{key}: {payload[key]}")
 
 
+def _error_payload(exc: SumLabelError) -> dict[str, Any]:
+    """JSON error of an infeasibility-type result, keeping the partial
+    results an exhausted budget carries."""
+    payload: dict[str, Any] = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, BudgetExhausted):
+        if exc.bracket is not None:
+            payload["bracket"] = list(exc.bracket)
+        payload["detail"] = exc.detail
+    return payload
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -282,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("verify needs --labels or --labels-file")
             payload, code = _cmd_verify(args)
     except _RESULT_ERRORS as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
+        _emit(_error_payload(exc), args.format)
         return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,13 +12,29 @@ newly dangerous pairs are rare, then step two draws the remaining
 labels until verification succeeds.  Both procedures only ever return
 verified labelings; the probabilistic analysis is replaced by
 verify-and-retry, so budgets, not tail bounds, are the failure mode.
+
+The two-step labeler builds no per-pair objects.  With P(e) the sum of
+the popular labels in e and stray(e) = e minus the popular set, two
+identities turn every pair condition into per-edge quantities:
+
+* the skew of (e, e') is P(e) - P(e'), since the popular labels of the
+  intersection cancel;
+* (e, e') is special exactly when stray(e) == stray(e'), since its
+  symmetric difference then avoids every non-popular vertex.
+
+Special pairs are thus the pairs inside a group of edges with equal
+stray parts, and newly dangerous pairs, being non-dangerous, need
+|e| + |e'| > K, so only such pairs are ever visited.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import ceil, exp
 
 from .errors import BudgetExhausted
@@ -86,13 +102,117 @@ class PairData:
 
 @dataclass(frozen=True)
 class PairClassification:
-    """Popularity set and per-pair structure for all unordered edge pairs."""
+    """Popular set and the per-edge quantities that classify every pair.
+
+    Edge i splits into its popular vertices ``popular_parts[i]`` and its
+    stray part ``stray[i]``.  ``special_groups`` holds the edges that
+    share a stray part (groups of two or more, in edge order), so the
+    special pairs are exactly the pairs inside a group;
+    ``newly_dangerous`` lists the newly dangerous pairs as index pairs
+    (i, j) with i < j.  ``pairs`` builds one :class:`PairData` per pair
+    on first access, for inspection only.
+    """
 
     edge_count: int
     dangerous_cutoff: int
     stray_limit: int
     popular: frozenset[int]
-    pairs: dict[tuple[int, int], PairData]
+    edges: tuple[frozenset[int], ...]
+    popular_parts: tuple[tuple[int, ...], ...]
+    stray: tuple[frozenset[int], ...]
+    special_groups: tuple[tuple[int, ...], ...]
+    newly_dangerous: tuple[tuple[int, int], ...]
+
+    def popular_sums(self, partial: dict[int, int]) -> list[int]:
+        """P(e) of every edge: the sum of its popular labels under ``partial``."""
+        return [sum(partial[v] for v in part) for part in self.popular_parts]
+
+    def pair_flags(self, i: int, j: int) -> tuple[bool, bool, bool]:
+        """(dangerous, special, newly_dangerous) of the edge pair (i, j)."""
+        dangerous = len(self.edges[i] ^ self.edges[j]) <= self.dangerous_cutoff
+        special = self.stray[i] == self.stray[j]
+        newly = not dangerous and _newly_dangerous(self.stray[i], self.stray[j], self.stray_limit)
+        return dangerous, special, newly
+
+    @cached_property
+    def pairs(self) -> dict[tuple[int, int], PairData]:
+        """One :class:`PairData` per unordered pair, keyed (i, j) with i < j."""
+        edges, popular = self.edges, self.popular
+        class_ids: dict[frozenset[frozenset[int]], int] = {}
+        pairs: dict[tuple[int, int], PairData] = {}
+        for i, j in combinations(range(self.edge_count), 2):
+            a, b = edges[i] - edges[j], edges[j] - edges[i]
+            dangerous, special, newly = self.pair_flags(i, j)
+            cls_id = class_ids.setdefault(frozenset({a, b}), len(class_ids)) if special else None
+            pairs[(i, j)] = PairData(a, b, a & popular, b & popular, a - popular, b - popular,
+                                     dangerous, special, newly, cls_id)
+        return pairs
+
+
+def _newly_dangerous(stray_i: frozenset[int], stray_j: frozenset[int], stray_limit: int) -> bool:
+    """Whether a non-dangerous pair with these stray parts is newly
+    dangerous: not special, and at most ``stray_limit`` non-popular
+    vertices (the symmetric difference of the stray parts)."""
+    return stray_i != stray_j and len(stray_i ^ stray_j) <= stray_limit
+
+
+def _non_dangerous_pairs(edges: tuple[frozenset[int], ...], cutoff: int):
+    """Yield (i, j, e_i ^ e_j), i < j, for every pair whose symmetric
+    difference has more than ``cutoff`` vertices.
+
+    Only pairs with |e_i| + |e_j| > cutoff can qualify, so only those are
+    visited: edges are sorted by size and each one's partners found by
+    bisection.
+    """
+    order = sorted(range(len(edges)), key=lambda i: len(edges[i]))
+    sizes = [len(edges[i]) for i in order]
+    for p, i in enumerate(order):
+        for q in range(max(p + 1, bisect_right(sizes, cutoff - sizes[p])), len(order)):
+            j = order[q]
+            diff = edges[i] ^ edges[j]
+            if len(diff) > cutoff:
+                yield min(i, j), max(i, j), diff
+
+
+def _classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> PairClassification:
+    """Build the per-edge classification in O(n + m) memory plus the newly
+    dangerous pairs; see :func:`classify_pairs` for the definitions."""
+    edges = h.edges
+    m = len(edges)
+    n = h.vertex_count
+    # v lies in the symmetric difference of deg(v) * (m - deg(v)) pairs; its
+    # dangerous count leaves out the non-dangerous ones among them
+    degree = [0] * n
+    for e in edges:
+        for v in e:
+            degree[v] += 1
+    non_dangerous = [0] * n
+    for _, _, diff in _non_dangerous_pairs(edges, dangerous_cutoff):
+        for v in diff:
+            non_dangerous[v] += 1
+
+    # popularity threshold m**2 / K**3, exact comparison
+    cube = dangerous_cutoff**3
+    popular = frozenset(
+        v for v in range(n) if (degree[v] * (m - degree[v]) - non_dangerous[v]) * cube >= m * m
+    )
+    assert len(popular) <= dangerous_cutoff**4, "popularity bound violated"
+
+    stray = tuple(e - popular for e in edges)
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, part in enumerate(stray):
+        groups.setdefault(part, []).append(i)
+    # newly dangerous pairs are non-dangerous, so they are among the pairs
+    # visited above
+    newly = tuple((i, j) for i, j, _ in _non_dangerous_pairs(edges, dangerous_cutoff)
+                  if _newly_dangerous(stray[i], stray[j], stray_limit))
+    return PairClassification(
+        m, dangerous_cutoff, stray_limit, popular, edges,
+        popular_parts=tuple(tuple(e & popular) for e in edges),
+        stray=stray,
+        special_groups=tuple(tuple(g) for g in groups.values() if len(g) > 1),
+        newly_dangerous=newly,
+    )
 
 
 def classify_pairs(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> PairClassification:
@@ -105,43 +225,16 @@ def classify_pairs(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
     symmetric difference is popular; a non-dangerous, non-special pair
     is newly dangerous when at most ``stray_limit`` of its
     symmetric-difference vertices are non-popular.
+
+    With P(e) the sum of the popular labels in e and stray(e) = e minus
+    the popular set, the skew of (e, e') is P(e) - P(e') and the pair is
+    special exactly when stray(e) == stray(e').  The result therefore
+    holds per-edge quantities only; its ``pairs`` mapping is built on
+    first access, for inspection.
     """
     if not dangerous_cutoff > stray_limit:
         raise ValueError("need dangerous_cutoff > stray_limit")
-    edges = h.edges
-    m = len(edges)
-    keys = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    only: dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]] = {}
-    dangerous_count = [0] * h.vertex_count
-    for i, j in keys:
-        a, b = edges[i] - edges[j], edges[j] - edges[i]
-        only[(i, j)] = (a, b)
-        if len(a) + len(b) <= dangerous_cutoff:
-            for v in a | b:
-                dangerous_count[v] += 1
-
-    # popularity threshold m**2 / K**3, exact comparison
-    cube = dangerous_cutoff**3
-    popular = frozenset(
-        v for v in range(h.vertex_count) if dangerous_count[v] * cube >= m * m
-    )
-    assert len(popular) <= dangerous_cutoff**4, "popularity bound violated"
-
-    class_ids: dict[frozenset[frozenset[int]], int] = {}
-    pairs: dict[tuple[int, int], PairData] = {}
-    for key in keys:
-        a, b = only[key]
-        dangerous = len(a) + len(b) <= dangerous_cutoff
-        ya, yb = a & popular, b & popular
-        za, zb = a - popular, b - popular
-        special = not za and not zb
-        newly = (not dangerous) and (not special) and len(za | zb) <= stray_limit
-        cls_id = None
-        if special:
-            signature = frozenset({a, b})
-            cls_id = class_ids.setdefault(signature, len(class_ids))
-        pairs[key] = PairData(a, b, ya, yb, za, zb, dangerous, special, newly, cls_id)
-    return PairClassification(m, dangerous_cutoff, stray_limit, popular, pairs)
+    return _classify_edges(h, dangerous_cutoff, stray_limit)
 
 
 def pair_skew(data: PairData, partial: dict[int, int]) -> int:
@@ -156,11 +249,15 @@ def pair_type(data: PairData, skew: int, stray_cap: int) -> str:
     """One of the five pair types: (a) special, (b)/(c) newly dangerous with
     popular-side skew above/at most stray_limit * N, (d) remaining
     non-dangerous, (e) dangerous non-special."""
-    if data.special:
+    return _type_of(data.dangerous, data.special, data.newly_dangerous, skew, stray_cap)
+
+
+def _type_of(dangerous: bool, special: bool, newly: bool, skew: int, stray_cap: int) -> str:
+    if special:
         return "a"
-    if data.newly_dangerous:
+    if newly:
         return "b" if abs(skew) > stray_cap else "c"
-    if data.dangerous:
+    if dangerous:
         return "e"
     return "d"
 
@@ -218,19 +315,25 @@ def step_one_successful(h: Hypergraph, cls: PairClassification, cfg: TwoStepConf
 
     (1) every special pair has nonzero popular-side skew, and (2) at most
     m**2 * e**(-4C) newly dangerous pairs have |skew| <= stray_limit * N.
+    Since the skew of (e, e') is P(e) - P(e') and special pairs are the
+    pairs inside a stray group, (1) says the P values within each group
+    are distinct.  ``special_violations`` lists the tied pairs in
+    lexicographic order.
     """
     m = h.edge_count
     cap = cfg.label_cap(m)
     stray_cap = cfg.stray_limit * cap
-    violations = []
-    near_ties = 0
-    for key, data in cls.pairs.items():
-        if data.special:
-            if pair_skew(data, partial) == 0:
-                violations.append(key)
-        elif data.newly_dangerous:
-            if abs(pair_skew(data, partial)) <= stray_cap:
-                near_ties += 1
+    popular_sums = cls.popular_sums(partial)
+    violations: list[tuple[int, int]] = []
+    for group in cls.special_groups:
+        tied: dict[int, list[int]] = {}
+        for i in group:
+            tied.setdefault(popular_sums[i], []).append(i)
+        for same in tied.values():
+            violations.extend(combinations(same, 2))
+    violations.sort()
+    near_ties = sum(1 for i, j in cls.newly_dangerous
+                    if abs(popular_sums[i] - popular_sums[j]) <= stray_cap)
     allowance = m * m * exp(-4.0 * cfg.label_divisor)
     diag = StepOneDiagnostics(
         special_ok=not violations,
@@ -244,29 +347,38 @@ def step_one_successful(h: Hypergraph, cls: PairClassification, cfg: TwoStepConf
 
 @dataclass
 class TwoStepResult:
+    """A verified labeling and the effort behind it.
+
+    ``popular_count`` vertices were fixed in step one and ``free_count``
+    were drawn in step two; with m**2 < K**3 every vertex in some but not
+    all edges is popular, so step two draws only the rest.
+    """
+
     labeling: Labeling
     label_cap: int
     step1_attempts: int
     step2_attempts: int
+    popular_count: int
+    free_count: int
     collision_census: dict[str, int] = field(default_factory=dict)
 
 
-def _check_protected_pairs(sums: tuple[int, ...], cls: PairClassification,
-                           skews: dict[tuple[int, int], int], stray_cap: int) -> None:
-    """After a successful step one, special pairs differ by exactly their
-    skew and high-skew newly dangerous pairs cannot tie; both facts are
-    label-independent, so a violation is an internal error."""
-    for (i, j), data in cls.pairs.items():
-        if data.special:
-            if sums[i] - sums[j] != skews[(i, j)]:
-                raise AssertionError(f"special pair {(i, j)}: sum gap does not equal its skew")
-            if sums[i] == sums[j]:
-                raise AssertionError(f"special pair {(i, j)} collided after a successful step one")
-        elif data.newly_dangerous and abs(skews[(i, j)]) > stray_cap:
-            if sums[i] == sums[j]:
-                raise AssertionError(
-                    f"high-skew newly dangerous pair {(i, j)} collided after a successful step one"
-                )
+def _check_protected(sums: tuple[int, ...], popular_sums: list[int], cls: PairClassification,
+                     high_skew: list[tuple[int, int]]) -> None:
+    """After a successful step one, the edges of a special group share
+    their free part, so their sums differ by exactly their P values and
+    are distinct, and high-skew newly dangerous pairs cannot tie; these
+    facts are label-independent, so a violation is an internal error."""
+    for group in cls.special_groups:
+        if len({sums[i] - popular_sums[i] for i in group}) != 1:
+            raise AssertionError(f"special group {group}: sum gaps do not equal their skews")
+        if len({sums[i] for i in group}) != len(group):
+            raise AssertionError(f"special group {group} collided after a successful step one")
+    for i, j in high_skew:
+        if sums[i] == sums[j]:
+            raise AssertionError(
+                f"high-skew newly dangerous pair {(i, j)} collided after a successful step one"
+            )
 
 
 def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoStepResult:
@@ -277,18 +389,20 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     to step2_budget times and verifies.  The colliding pairs of every
     failed verification are tallied by type in ``collision_census``.
     Raises :class:`BudgetExhausted` (census attached) if the budgets run
-    out.
+    out.  Works on per-edge quantities only, in O(n + m) memory plus the
+    newly dangerous pairs.
     """
     cfg = cfg or TwoStepConfig()
     m = h.edge_count
+    n = h.vertex_count
     if m <= 1:
-        return TwoStepResult(Labeling.all_ones(h.vertex_count), cfg.label_cap(m), 0, 0)
+        return TwoStepResult(Labeling.all_ones(n), cfg.label_cap(m), 0, 0, 0, n)
 
-    cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+    cls = _classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
     cap = cfg.label_cap(m)
     stray_cap = cfg.stray_limit * cap
     rng = random.Random(cfg.seed)
-    free = sorted(set(range(h.vertex_count)) - cls.popular)
+    free = sorted(set(range(n)) - cls.popular)
     census: dict[str, int] = {t: 0 for t in PAIR_TYPES}
     edges = h.edges
 
@@ -300,7 +414,9 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
         ok, _ = step_one_successful(h, cls, cfg, partial)
         if not ok:
             continue
-        skews = {key: pair_skew(data, partial) for key, data in cls.pairs.items()}
+        popular_sums = cls.popular_sums(partial)
+        high_skew = [(i, j) for i, j in cls.newly_dangerous
+                     if abs(popular_sums[i] - popular_sums[j]) > stray_cap]
         # with no free vertices, redrawing step two cannot change anything
         inner_budget = cfg.step2_budget if free else 1
         for _ in range(inner_budget):
@@ -308,22 +424,22 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
             values = dict(partial)
             for v in free:
                 values[v] = rng.randint(1, cap)
-            f = Labeling(values[v] for v in range(h.vertex_count))
+            f = Labeling(values[v] for v in range(n))
             sums = tuple(sum(f.values[v] for v in e) for e in edges)
-            _check_protected_pairs(sums, cls, skews, stray_cap)
+            _check_protected(sums, popular_sums, cls, high_skew)
             groups: dict[int, list[int]] = {}
             for idx, s in enumerate(sums):
                 groups.setdefault(s, []).append(idx)
             colliding = [g for g in groups.values() if len(g) > 1]
             if not colliding:
-                result = TwoStepResult(f, cap, step1_attempts, step2_attempts, census)
+                result = TwoStepResult(f, cap, step1_attempts, step2_attempts,
+                                       len(cls.popular), len(free), census)
                 assert is_distinguishing(h, f) and f.max_label <= cap
                 return result
             for g in colliding:
-                for x in range(len(g)):
-                    for y in range(x + 1, len(g)):
-                        key = (g[x], g[y])
-                        census[pair_type(cls.pairs[key], skews[key], stray_cap)] += 1
+                for x, y in combinations(g, 2):
+                    skew = popular_sums[x] - popular_sums[y]
+                    census[_type_of(*cls.pair_flags(x, y), skew, stray_cap)] += 1
     raise BudgetExhausted(
         f"two-step labeler exhausted budgets (step1={step1_attempts}, step2={step2_attempts})",
         detail={"collision_census": census, "step1_attempts": step1_attempts,

@@ -7,11 +7,30 @@ search against itself.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb, exp
 from random import Random
 
 from sumlabel import Graph, Hypergraph, Labeling, is_distinguishing
+
+
+# Instance files for the two-step labeler.  With small K and C, "c", "e"
+# and "d" meet collisions of those census types and "retry" needs 28
+# step-one draws (see the golden CLI test); "wide" suits the default K.
+TWO_STEP_INSTANCES = {
+    "c": "23 10\n1 20\n2 2 22\n2 3 17\n2 11 12\n2 11 14\n2 13 21\n3 2 6 12\n3 13 14 17\n"
+         "4 4 11 13 20\n4 5 7 14 15\n",
+    "e": "11 10\n1 6\n2 9 10\n3 4 8 10\n4 0 2 4 9\n4 0 6 7 9\n5 0 5 6 8 9\n7 1 2 3 4 5 7 9\n"
+         "7 2 4 5 6 7 8 9\n8 0 1 3 4 5 6 8 10\n8 1 2 3 5 7 8 9 10\n",
+    "d": "19 10\n1 3\n2 2 3\n2 3 10\n4 1 4 5 12\n4 1 6 16 18\n4 3 9 11 16\n5 0 1 9 14 15\n"
+         "5 1 2 7 10 11\n6 0 1 2 14 15 16\n6 3 8 12 13 17 18\n",
+    "retry": "14 9\n1 2\n2 3 10\n3 2 7 9\n3 3 4 10\n3 3 5 12\n5 0 1 5 10 13\n6 0 5 6 8 12 13\n"
+             "7 0 2 3 6 9 11 13\n9 0 3 4 5 7 9 10 11 13\n",
+    "wide": "20 20\n1 4\n1 6\n1 11\n2 1 5\n2 5 12\n2 5 19\n2 15 19\n3 2 9 10\n3 4 5 13\n"
+            "3 6 10 17\n3 9 10 15\n4 0 1 14 18\n4 0 11 13 17\n4 3 7 12 17\n5 0 2 9 10 18\n"
+            "5 0 4 14 17 19\n5 0 6 7 8 13\n5 0 8 11 14 16\n6 0 1 5 8 11 13\n6 0 5 6 9 12 19\n",
+}
 
 
 def complete_hypergraph(n: int) -> Hypergraph:
@@ -99,3 +118,91 @@ def brute_force_decide(h: Hypergraph, cap: int) -> tuple[int, ...] | None:
         if is_distinguishing(h, Labeling(values)):
             return values
     return None
+
+
+def pair_classes_oracle(h: Hypergraph, cutoff: int, stray_limit: int):
+    """Popular set and class of every edge pair, by brute force over pairs.
+
+    A pair is dangerous when its symmetric difference has at most
+    ``cutoff`` vertices; a vertex is popular when it lies in the
+    symmetric differences of at least m**2 / cutoff**3 dangerous pairs.
+    Classes: "special" (no non-popular vertex in the symmetric
+    difference), "dangerous" (other dangerous pairs), "newly" (at most
+    ``stray_limit`` non-popular vertices) and "other".
+    """
+    edges = h.edges
+    m = len(edges)
+    pairs = list(combinations(range(m), 2))
+    hits = [0] * h.vertex_count
+    for i, j in pairs:
+        diff = edges[i] ^ edges[j]
+        if len(diff) <= cutoff:
+            for v in diff:
+                hits[v] += 1
+    threshold = Fraction(m * m, cutoff**3)
+    popular = {v for v in range(h.vertex_count) if hits[v] >= threshold}
+    classes = {}
+    for i, j in pairs:
+        diff = edges[i] ^ edges[j]
+        strays = diff - popular
+        if not strays:
+            classes[(i, j)] = "special"
+        elif len(diff) <= cutoff:
+            classes[(i, j)] = "dangerous"
+        elif len(strays) <= stray_limit:
+            classes[(i, j)] = "newly"
+        else:
+            classes[(i, j)] = "other"
+    return popular, classes
+
+
+def skew_oracle(h: Hypergraph, popular, labels, i: int, j: int) -> int:
+    """Popular labels of e_i minus e_j summed over the symmetric difference."""
+    first, second = h.edges[i], h.edges[j]
+    return (sum(labels[v] for v in (first - second) & popular)
+            - sum(labels[v] for v in (second - first) & popular))
+
+
+def census_type_oracle(kind: str, skew: int, stray_cap: int) -> str:
+    if kind == "newly":
+        return "b" if abs(skew) > stray_cap else "c"
+    return {"special": "a", "dangerous": "e", "other": "d"}[kind]
+
+
+def two_step_oracle(h: Hypergraph, cfg) -> tuple:
+    """Replay of the two-step labeler with every condition checked pair by
+    pair: the same draws in the same order, so for a given seed it must
+    give the same labels, attempt counts and census.  Returns (labels or
+    None when the budgets run out, step-one attempts, step-two attempts,
+    census)."""
+    m, n = h.edge_count, h.vertex_count
+    cap = max(1, ceil(Fraction(m * m) / Fraction(cfg.label_divisor)))
+    stray_cap = cfg.stray_limit * cap
+    allowance = m * m * exp(-4.0 * cfg.label_divisor)
+    popular, classes = pair_classes_oracle(h, cfg.dangerous_cutoff, cfg.stray_limit)
+    free = [v for v in range(n) if v not in popular]
+    census = {t: 0 for t in "abcde"}
+    rng = Random(cfg.seed)
+    step1 = step2 = 0
+    while step1 < cfg.step1_budget:
+        step1 += 1
+        labels = [0] * n
+        for v in sorted(popular):
+            labels[v] = rng.randint(1, cap)
+        skews = {key: skew_oracle(h, popular, labels, *key) for key in classes}
+        if any(classes[key] == "special" and skews[key] == 0 for key in classes):
+            continue
+        if sum(classes[key] == "newly" and abs(skews[key]) <= stray_cap
+               for key in classes) > allowance:
+            continue
+        for _ in range(cfg.step2_budget if free else 1):
+            step2 += 1
+            for v in free:
+                labels[v] = rng.randint(1, cap)
+            sums = [sum(labels[v] for v in e) for e in h.edges]
+            colliding = [key for key in classes if sums[key[0]] == sums[key[1]]]
+            if not colliding:
+                return labels, step1, step2, census
+            for key in colliding:
+                census[census_type_oracle(classes[key], skews[key], stray_cap)] += 1
+    return None, step1, step2, census

@@ -12,7 +12,8 @@ from sumlabel.formats import (labeling_payload, parse_graph, parse_hypergraph,
                               serialize_graph, serialize_hypergraph)
 from sumlabel.hypergraph import Labeling
 
-from helpers import complete_hypergraph, random_graph, random_hypergraph
+from helpers import (TWO_STEP_INSTANCES, complete_hypergraph, random_graph,
+                     random_hypergraph)
 
 
 class TestHypergraphFormat:
@@ -236,4 +237,63 @@ class TestCli:
     def test_budget_exhaustion_exit_one(self, capsys, instances):
         code, out = self.run(capsys, "solve", "s", str(instances / "full3.hg"),
                              "--budget", "2")
-        assert code == 1 and json.loads(out)["error"] == "BudgetExhausted"
+        assert code == 1
+        assert json.loads(out) == {"error": "BudgetExhausted",
+                                   "message": "node budget exhausted while testing N=3",
+                                   "bracket": [3, 4], "detail": {"nodes": 3}}
+
+    def test_two_step_exhaustion_keeps_census(self, capsys, tmp_path):
+        # label cap ceil(4/4) = 1 ties the special pair on every step-one draw
+        path = tmp_path / "tied.hg"
+        path.write_text("3 2\n2 0 1\n2 1 2\n")
+        code, out = self.run(capsys, "label", "two-step", str(path))
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "BudgetExhausted",
+            "message": "two-step labeler exhausted budgets (step1=1000, step2=0)",
+            "detail": {"collision_census": {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0},
+                       "step1_attempts": 1000, "step2_attempts": 0}}
+
+
+# `label two-step` stdout on fixed instances and seeds.  Labels, attempt
+# counts and census follow from the seed's draw order alone, so a change
+# to how the labeler checks its conditions must leave them byte-identical.
+GOLDEN_RUNS = [
+    ("c", ("--K", "4", "--P", "3", "--C", "0.5", "--seed", "194"),
+     '{"collision_census": {"a": 0, "b": 0, "c": 1, "d": 0, "e": 0}, "label_cap": 200, '
+     '"labels": [23, 55, 111, 105, 96, 55, 37, 195, 103, 183, 118, 163, 28, 162, 44, 43, 114, '
+     '174, 57, 121, 107, 32, 200], "max_label": 200, "seed": 194, "step1_attempts": 2, '
+     '"step2_attempts": 2, "verified": true}\n'),
+    ("e", ("--K", "3", "--P", "2", "--C", "0.4", "--seed", "160"),
+     '{"collision_census": {"a": 0, "b": 0, "c": 0, "d": 0, "e": 1}, "label_cap": 250, '
+     '"labels": [127, 138, 233, 210, 55, 190, 110, 121, 4, 72, 211], "max_label": 233, '
+     '"seed": 160, "step1_attempts": 1, "step2_attempts": 2, "verified": true}\n'),
+    ("d", ("--K", "4", "--P", "3", "--C", "0.5", "--seed", "155"),
+     '{"collision_census": {"a": 0, "b": 0, "c": 0, "d": 2, "e": 0}, "label_cap": 200, '
+     '"labels": [185, 125, 149, 54, 16, 131, 150, 164, 56, 129, 139, 74, 31, 26, 111, 90, 176, '
+     '149, 29], "max_label": 185, "seed": 155, "step1_attempts": 1, "step2_attempts": 3, '
+     '"verified": true}\n'),
+    ("retry", ("--K", "4", "--P", "3", "--C", "0.5", "--seed", "80"),
+     '{"collision_census": {"a": 0, "b": 0, "c": 0, "d": 1, "e": 0}, "label_cap": 162, '
+     '"labels": [76, 78, 17, 120, 122, 106, 72, 83, 112, 161, 157, 148, 151, 33], '
+     '"max_label": 161, "seed": 80, "step1_attempts": 28, "step2_attempts": 2, '
+     '"verified": true}\n'),
+    ("wide", ("--C", "3", "--seed", "11"),
+     '{"collision_census": {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}, "label_cap": 134, '
+     '"labels": [116, 120, 116, 131, 49, 48, 132, 122, 48, 25, 115, 78, 37, 24, 11, 102, 116, '
+     '41, 4, 17], "max_label": 132, "seed": 11, "step1_attempts": 1, "step2_attempts": 1, '
+     '"verified": true}\n'),
+    ("wide", (),
+     '{"collision_census": {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}, "label_cap": 100, '
+     '"labels": [64, 60, 41, 58, 42, 56, 39, 7, 2, 49, 99, 11, 63, 11, 34, 99, 48, 95, 49, 28], '
+     '"max_label": 99, "seed": 857536, "step1_attempts": 1, "step2_attempts": 1, '
+     '"verified": true}\n'),
+]
+
+
+@pytest.mark.parametrize("name,flags,expected", GOLDEN_RUNS)
+def test_label_two_step_golden_stdout(capsys, tmp_path, name, flags, expected):
+    path = tmp_path / f"{name}.hg"
+    path.write_text(TWO_STEP_INSTANCES[name])
+    assert main(["label", "two-step", str(path), *flags]) == 0
+    assert capsys.readouterr().out == expected

@@ -1,5 +1,7 @@
 """Randomized labelers: pair classification, step conditions, retry loops."""
 
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import ceil, exp
 from random import Random
@@ -12,7 +14,10 @@ from sumlabel import (BudgetExhausted, Hypergraph, TwoStepConfig, classify_pairs
                       two_step_labeling)
 from sumlabel.randomized import PAIR_TYPES, pair_skew, pair_type
 
-from helpers import random_hypergraph
+from sumlabel.formats import parse_hypergraph
+
+from helpers import (TWO_STEP_INSTANCES, census_type_oracle, pair_classes_oracle,
+                     random_hypergraph, skew_oracle, two_step_oracle)
 
 
 def mixed_instance(rng: Random, n: int, m: int, max_size: int = 10) -> Hypergraph:
@@ -157,6 +162,18 @@ class TestStepOne:
         ok, diag = step_one_successful(h, cls, cfg, {0: 1, 1: 2})
         assert ok and diag.special_ok and diag.near_ties_ok
 
+    def test_near_tie_boundary(self):
+        # the one newly dangerous pair ({0}, {0, 1, 2, 4, 5}) has skew
+        # -(f(1) + f(5)); the stray cap is 2 * ceil(16 / 1.5) = 22
+        h = Hypergraph(6, [{0}, {1, 2, 3}, {2, 3, 5}, {0, 1, 2, 4, 5}])
+        cfg = TwoStepConfig(label_divisor=1.5, dangerous_cutoff=3, stray_limit=2)
+        cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+        assert cls.popular == {1, 5} and cls.newly_dangerous == ((0, 3),)
+        _, diag = step_one_successful(h, cls, cfg, {1: 11, 5: 11})
+        assert diag.near_tie_count == 1
+        _, diag = step_one_successful(h, cls, cfg, {1: 11, 5: 12})
+        assert diag.near_tie_count == 0
+
     def test_near_tie_allowance_arithmetic(self):
         h = random_hypergraph(Random(83), 10, 10, max_size=6)
         cfg = TwoStepConfig(label_divisor=4.0)
@@ -210,3 +227,115 @@ class TestTwoStep:
         with pytest.raises(BudgetExhausted) as err:
             two_step_labeling(h, cfg)
         assert set(err.value.detail["collision_census"]) == set(PAIR_TYPES)
+
+
+def small_cutoff_configs(seed: int, count: int):
+    """Seeded small instances with small K, where special, dangerous,
+    newly dangerous and other pairs all occur."""
+    rng = Random(seed)
+    for _ in range(count):
+        h = random_hypergraph(rng, rng.randint(10, 24), rng.randint(6, 12),
+                              max_size=rng.randint(3, 10))
+        cutoff = rng.randint(3, 5)
+        stray = rng.randint(2, cutoff - 1)
+        yield rng, h, TwoStepConfig(label_divisor=rng.uniform(0.3, 0.6), dangerous_cutoff=cutoff,
+                                    stray_limit=stray, seed=rng.randrange(2**32),
+                                    step1_budget=30, step2_budget=10)
+
+
+def labeler_outcome(h: Hypergraph, cfg: TwoStepConfig) -> tuple:
+    try:
+        res = two_step_labeling(h, cfg)
+    except BudgetExhausted as exc:
+        d = exc.detail
+        return None, d["step1_attempts"], d["step2_attempts"], d["collision_census"]
+    return list(res.labeling.values), res.step1_attempts, res.step2_attempts, res.collision_census
+
+
+class TestAgainstPairOracle:
+    """The per-edge classification and labeler against brute force over pairs."""
+
+    def test_popular_set_step_one_and_pair_types(self):
+        kinds = Counter()
+        types = Counter()
+        for rng, h, cfg in small_cutoff_configs(101, 60):
+            m = h.edge_count
+            cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+            popular, classes = pair_classes_oracle(h, cfg.dangerous_cutoff, cfg.stray_limit)
+            assert cls.popular == popular
+            kinds.update(classes.values())
+            stray_cap = cfg.stray_limit * cfg.label_cap(m)
+            allowance = m * m * exp(-4.0 * cfg.label_divisor)
+            for _ in range(4):
+                # labels in [3] make popular-side ties common
+                labels = [rng.randint(1, 3) for _ in range(h.vertex_count)]
+                skews = {key: skew_oracle(h, popular, labels, *key) for key in classes}
+                violations = [key for key, kind in classes.items()
+                              if kind == "special" and skews[key] == 0]
+                near_ties = sum(1 for key, kind in classes.items()
+                                if kind == "newly" and abs(skews[key]) <= stray_cap)
+                partial = {v: labels[v] for v in popular}
+                ok, diag = step_one_successful(h, cls, cfg, partial)
+                assert diag.special_violations == violations
+                assert diag.near_tie_count == near_ties
+                assert ok == (not violations and near_ties <= allowance)
+                # a cap of 1 separates types b and c at these label sizes
+                for key, data in cls.pairs.items():
+                    t = pair_type(data, pair_skew(data, partial), stray_cap=1)
+                    assert t == census_type_oracle(classes[key], skews[key], stray_cap=1)
+                    types[t] += 1
+        assert set(kinds) == {"special", "dangerous", "newly", "other"}
+        assert set(types) == set(PAIR_TYPES)
+
+    def test_labeler_replays_pair_oracle(self):
+        outcomes = Counter()
+        for _, h, cfg in small_cutoff_configs(103, 150):
+            got = labeler_outcome(h, cfg)
+            assert got == two_step_oracle(h, cfg)
+            outcomes[got[0] is None] += 1
+        assert outcomes[True] and outcomes[False]
+
+    @pytest.mark.parametrize("name,flags", [("c", (4, 3, 0.5, 194)), ("e", (3, 2, 0.4, 160)),
+                                            ("d", (4, 3, 0.5, 155)), ("retry", (4, 3, 0.5, 80))])
+    def test_census_types_match_pair_oracle(self, name, flags):
+        cutoff, stray, divisor, seed = flags
+        h = parse_hypergraph(TWO_STEP_INSTANCES[name])
+        cfg = TwoStepConfig(label_divisor=divisor, dangerous_cutoff=cutoff, stray_limit=stray,
+                            seed=seed)
+        got = labeler_outcome(h, cfg)
+        assert got == two_step_oracle(h, cfg)
+        if name in "cde":
+            assert got[3][name] > 0
+
+
+class TestPerEdgeScale:
+    def test_popular_and_free_counts(self):
+        # below m = 512 at K = 64 the threshold m**2 / K**3 is under one, so
+        # every vertex in some but not all edges is popular
+        h = random_hypergraph(Random(107), 60, 60, max_size=10)
+        res = two_step_labeling(h, TwoStepConfig(seed=5))
+        covered = {v for e in h.edges for v in e}
+        everywhere = set.intersection(*(set(e) for e in h.edges))
+        assert res.popular_count == len(covered - everywhere)
+        assert res.popular_count + res.free_count == h.vertex_count
+        trivial = two_step_labeling(Hypergraph(3, [{0, 1}]))
+        assert (trivial.popular_count, trivial.free_count) == (0, 3)
+
+    def test_two_thousand_edges_in_linear_memory(self):
+        # one PairData per pair would need gigabytes at this size
+        rng = Random(109)
+        n = m = 2000
+        edges: set[frozenset[int]] = set()
+        while len(edges) < m:
+            edges.add(frozenset(rng.sample(range(n), rng.randint(1, 10))))
+        h = Hypergraph(n, sorted(edges, key=sorted))
+        cfg = TwoStepConfig(seed=3)
+        tracemalloc.start()
+        try:
+            res = two_step_labeling(h, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert is_distinguishing(h, res.labeling)
+        assert res.labeling.max_label <= res.label_cap == cfg.label_cap(m)
+        assert peak < 64 * 2**20
