@@ -9,11 +9,15 @@ max_v (n - d(v) - 1)(d(v) + 1) + 2 always leaves an admissible value.
 ``tree_labeler`` peels leaves off a maximum-leaf-degree vertex down to a
 star, labels the star directly, and reattaches each leaf with the
 smallest value avoiding all collision equations, staying within
-2n - 2 - L where L is the maximum number of leaves on one vertex.
+2n - 2 - L where L is the maximum number of leaves on one vertex.  The
+peel takes O(n log n) and the re-insertion O(n + sum of the labels) dict
+lookups.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ShapeError
@@ -146,24 +150,17 @@ def _check_tree(g: Graph) -> None:
         raise ShapeError("graph is not connected")
 
 
-def _leaf_stat_from_adj(adj: dict[int, set[int]]) -> tuple[int, int]:
-    best_v, best_count = -1, -1
-    for v in sorted(adj):
-        count = sum(1 for w in adj[v] if len(adj[w]) == 1)
-        if count > best_count:
-            best_v, best_count = v, count
-    return best_count, best_v
+def _leaf_counts(t: Graph) -> list[int]:
+    """Number of leaf neighbors of each vertex."""
+    adj = t.adjacency
+    return [sum(1 for w in adj[v] if len(adj[w]) == 1) for v in range(t.vertex_count)]
 
 
 def leaf_stat(t: Graph) -> LeafStat:
     _check_tree(t)
-    adj = {v: set(t.adjacency[v]) for v in range(t.vertex_count)}
-    count, vertex = _leaf_stat_from_adj(adj)
-    return LeafStat(count, vertex)
-
-
-def _is_star(adj: dict[int, set[int]]) -> bool:
-    return sum(1 for v in adj if len(adj[v]) >= 2) <= 1
+    counts = _leaf_counts(t)
+    best = max(counts)
+    return LeafStat(best, counts.index(best))
 
 
 def tree_labeler(t: Graph) -> Labeling:
@@ -174,45 +171,81 @@ def tree_labeler(t: Graph) -> Labeling:
     center gets 1.  Otherwise a leaf hanging off a maximum-leaf-degree
     vertex is removed, the smaller tree is labeled, and the leaf
     receives the smallest value avoiding every equation that could
-    create an equal-sum pair.
+    create an equal-sum pair.  Ties go to the smallest vertex: the
+    smallest anchor among those with the most leaves, and its smallest
+    leaf.
+
+    The peel takes O(n log n): leaf counts, the number of non-leaf
+    vertices and the heaps that pick the next anchor and leaf are
+    updated per removal, not rescanned.  Re-insertion takes O(n + sum
+    of the labels) dict lookups: it keeps the closed sums and their
+    counts up to date and tests each candidate value against them.
     """
     _check_tree(t)
     n = t.vertex_count
-    adj = {v: set(t.adjacency[v]) for v in range(n)}
+    adj = [set(t.adjacency[v]) for v in range(n)]
 
     # peel to a star, remembering (leaf, anchor, value cap) per removal
+    leaf_count = _leaf_counts(t)
+    inner = sum(1 for v in range(n) if len(adj[v]) >= 2)
+    # lazy max-heap of (-leaf count, vertex): an entry is current while its
+    # count is the vertex's count.  A peeled leaf keeps count 0 and never
+    # reaches the top, because some vertex of the remaining tree has a leaf.
+    anchors = [(-count, v) for v, count in enumerate(leaf_count)]
+    heapq.heapify(anchors)
+    # min-heap of each vertex's leaf neighbors; filled in increasing order,
+    # so each list starts out sorted
+    leaves: list[list[int]] = [[] for _ in range(n)]
+    for w in range(n):
+        if len(adj[w]) == 1:
+            leaves[next(iter(adj[w]))].append(w)
     removals: list[tuple[int, int, int]] = []
-    while not _is_star(adj):
-        l_value, u = _leaf_stat_from_adj(adj)
-        v = min(w for w in adj[u] if len(adj[w]) == 1)
-        removals.append((v, u, 2 * len(adj) - 2 - l_value))
+    while inner > 1:
+        while -anchors[0][0] != leaf_count[anchors[0][1]]:
+            heapq.heappop(anchors)
+        u = anchors[0][1]
+        v = heapq.heappop(leaves[u])
+        removals.append((v, u, 2 * (n - len(removals)) - 2 - leaf_count[u]))
         adj[u].discard(v)
-        del adj[v]
+        leaf_count[u] -= 1
+        heapq.heappush(anchors, (-leaf_count[u], u))
+        if len(adj[u]) == 1:  # u is now a leaf of its last neighbor
+            inner -= 1
+            (w,) = adj[u]
+            leaf_count[w] += 1
+            heapq.heappush(anchors, (-leaf_count[w], w))
+            heapq.heappush(leaves[w], u)
 
-    values: dict[int, int] = {}
-    star_vertices = sorted(adj)
+    values = [0] * n
+    peeled = {v for v, _, _ in removals}
+    star_vertices = [v for v in range(n) if v not in peeled]
     center = max(star_vertices, key=lambda v: (len(adj[v]), -v))
     values[center] = 1
     for rank, v in enumerate(w for w in star_vertices if w != center):
         values[v] = rank + 1
 
+    sums = [0] * n
+    for w in star_vertices:
+        sums[w] = values[w] + sum(values[x] for x in adj[w])
+    sum_count = Counter(sums[w] for w in star_vertices)
+
     for v, u, cap in reversed(removals):
-        sums = {w: values[w] + sum(values[x] for x in adj[w]) for w in adj}
-        # leaves of u once v is back: v itself plus u's current leaf neighbors
-        leaves_of_u = {w for w in adj[u] if len(adj[w]) == 1}
-        forbidden = set()
-        for w in adj:
-            if w == u:
-                continue
-            forbidden.add(sums[w] - values[u])
-            if w not in leaves_of_u:
-                forbidden.add(sums[w] - sums[u])
-        value = next((x for x in range(1, cap + 1) if x not in forbidden), None)
+        # Labeling v with x gives v the closed sum values[u] + x and raises
+        # sums[u] by x; no other sum moves.  Reject x when another vertex
+        # already holds either new sum (u itself may hold the first).  No
+        # leaf w of u holds the second: values[w] + values[u] <= sums[u].
+        value_u, sum_u = values[u], sums[u]
+        value = next((x for x in range(1, cap + 1)
+                      if sum_count[value_u + x] == (sum_u == value_u + x)
+                      and not sum_count[sum_u + x]), None)
         assert value is not None, "no admissible label within the tree bound"
         values[v] = value
-        adj[u].add(v)
-        adj[v] = {u}
+        sum_count[sum_u] -= 1
+        sums[u] = sum_u + value
+        sums[v] = value_u + value
+        sum_count[sums[u]] += 1
+        sum_count[sums[v]] += 1
 
-    f = Labeling(values[v] for v in range(n))
+    f = Labeling(values)
     assert is_vertex_sum_distinguishing(t, f)
     return f

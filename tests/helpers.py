@@ -206,3 +206,85 @@ def two_step_oracle(h: Hypergraph, cfg) -> tuple:
             for key in colliding:
                 census[census_type_oracle(classes[key], skews[key], stray_cap)] += 1
     return None, step1, step2, census
+
+
+def caterpillar_tree(legs) -> Graph:
+    """Spine 0 - 1 - ... - k-1 with legs[i] leaves hanging off spine vertex i."""
+    k = len(legs)
+    edges = [(i, i + 1) for i in range(k - 1)]
+    nxt = k
+    for spine, count in enumerate(legs):
+        for _ in range(count):
+            edges.append((spine, nxt))
+            nxt += 1
+    return Graph(nxt, edges)
+
+
+def spider_tree(lengths) -> Graph:
+    """Center 0 with one path of lengths[i] vertices hanging off it per leg."""
+    edges = []
+    nxt = 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Graph(nxt, edges)
+
+
+def _oracle_leaf_stat_from_adj(adj: dict[int, set[int]]) -> tuple[int, int]:
+    best_v, best_count = -1, -1
+    for v in sorted(adj):
+        count = sum(1 for w in adj[v] if len(adj[w]) == 1)
+        if count > best_count:
+            best_v, best_count = v, count
+    return best_count, best_v
+
+
+def _oracle_is_star(adj: dict[int, set[int]]) -> bool:
+    return sum(1 for v in adj if len(adj[v]) >= 2) <= 1
+
+
+def tree_labeler_oracle(t: Graph) -> tuple[int, ...]:
+    """Labels of the tree labeler computed the slow, direct way: each peel
+    step rescans every vertex for its leaf count, and each re-insertion
+    rebuilds every closed sum and the whole forbidden set.  O(n^2); the
+    incremental library version must make the same choice at every step,
+    so for every tree it must return the same labels."""
+    n = t.vertex_count
+    adj = {v: set(t.adjacency[v]) for v in range(n)}
+
+    removals: list[tuple[int, int, int]] = []
+    while not _oracle_is_star(adj):
+        l_value, u = _oracle_leaf_stat_from_adj(adj)
+        v = min(w for w in adj[u] if len(adj[w]) == 1)
+        removals.append((v, u, 2 * len(adj) - 2 - l_value))
+        adj[u].discard(v)
+        del adj[v]
+
+    values: dict[int, int] = {}
+    star_vertices = sorted(adj)
+    center = max(star_vertices, key=lambda v: (len(adj[v]), -v))
+    values[center] = 1
+    for rank, v in enumerate(w for w in star_vertices if w != center):
+        values[v] = rank + 1
+
+    for v, u, cap in reversed(removals):
+        sums = {w: values[w] + sum(values[x] for x in adj[w]) for w in adj}
+        # leaves of u once v is back: v itself plus u's current leaf neighbors
+        leaves_of_u = {w for w in adj[u] if len(adj[w]) == 1}
+        forbidden = set()
+        for w in adj:
+            if w == u:
+                continue
+            forbidden.add(sums[w] - values[u])
+            if w not in leaves_of_u:
+                forbidden.add(sums[w] - sums[u])
+        value = next((x for x in range(1, cap + 1) if x not in forbidden), None)
+        assert value is not None, "no admissible label within the tree bound"
+        values[v] = value
+        adj[u].add(v)
+        adj[v] = {u}
+
+    return tuple(values[v] for v in range(n))

@@ -1,5 +1,6 @@
 """Degree bounds, the repair labeler, and the tree labeler."""
 
+import time
 from random import Random
 
 import pytest
@@ -8,7 +9,8 @@ from sumlabel import (Graph, ShapeError, is_vertex_sum_distinguishing, leaf_stat
                       repair_labeler, s_star_bounds, tree_labeler)
 from sumlabel.hypergraph import Labeling
 
-from helpers import complete_graph, path_graph, random_graph, random_tree, star_graph
+from helpers import (caterpillar_tree, complete_graph, path_graph, random_graph, random_tree,
+                     spider_tree, star_graph, tree_labeler_oracle)
 
 
 class TestBounds:
@@ -145,18 +147,73 @@ class TestTreeLabeler:
 
     def test_caterpillar(self):
         # spine 0-1-2 with two leaves on each spine vertex
-        edges = [(0, 1), (1, 2)]
-        leaves = []
-        nxt = 3
-        for spine in (0, 1, 2):
-            for _ in range(2):
-                edges.append((spine, nxt))
-                leaves.append(nxt)
-                nxt += 1
-        t = Graph(nxt, edges)
+        t = caterpillar_tree([2, 2, 2])
         f = tree_labeler(t)
         assert is_vertex_sum_distinguishing(t, f)
         assert f.max_label <= 2 * t.vertex_count - 2 - 2
+
+
+def _oracle_trees(family):
+    """Seeded trees of one shape; 3,038 over all families."""
+    rng = Random(f"tree-oracle-{family}")
+    if family == "random_small":
+        return [random_tree(rng, rng.randint(2, 60)) for _ in range(2400)]
+    if family == "random_large":
+        return [random_tree(rng, rng.randint(60, 400)) for _ in range(40)]
+    if family == "path":
+        return [path_graph(n) for n in range(2, 151)]
+    if family == "star":
+        return [star_graph(n) for n in range(2, 151)]
+    if family == "caterpillar":
+        return [caterpillar_tree([rng.randint(0, 4) for _ in range(rng.randint(2, 30))])
+                for _ in range(150)]
+    assert family == "spider"
+    return [spider_tree([rng.randint(1, 10) for _ in range(rng.randint(1, 8))])
+            for _ in range(150)]
+
+
+class TestTreeLabelerAgainstOracle:
+    """The incremental labeler must make the oracle's choice at every step."""
+
+    @pytest.mark.parametrize("family", ["random_small", "random_large", "path", "star",
+                                        "caterpillar", "spider"])
+    def test_same_labels_as_oracle(self, family):
+        for t in _oracle_trees(family):
+            assert tree_labeler(t).values == tree_labeler_oracle(t)
+
+    def test_ties_on_the_maximum_leaf_count(self):
+        # spine vertices 0, 2 and 4 (and later others) tie on the most leaves;
+        # the smallest tied vertex loses a leaf first
+        for legs in ([2, 0, 2], [2, 2, 2], [3, 1, 3, 1, 3], [1, 3, 0, 3, 1], [2, 1, 2, 1]):
+            t = caterpillar_tree(legs)
+            assert tree_labeler(t).values == tree_labeler_oracle(t), legs
+
+    def test_anchor_that_becomes_a_leaf(self):
+        # legs 0-1-2, 0-3-4, 0-5-6: removing 2 makes 1 a leaf of 0, and the
+        # next removal takes 1 from 0's leaves; on re-insertion 1 and 3 stop
+        # being leaves of 0 when 2 and 4 come back
+        for lengths in ([2, 2, 2], [2, 3], [3, 3, 3], [1, 2, 2, 4], [2, 2, 2, 2, 2]):
+            t = spider_tree(lengths)
+            assert tree_labeler(t).values == tree_labeler_oracle(t), lengths
+
+
+class TestTreeLabelerScale:
+    @pytest.mark.parametrize("shape", ["random", "path", "caterpillar"])
+    def test_five_thousand_vertices(self, shape):
+        if shape == "random":
+            t = random_tree(Random(5000), 5000)
+        elif shape == "path":
+            t = path_graph(5000)
+        else:
+            t = caterpillar_tree([i % 4 for i in range(2000)])
+        n = t.vertex_count
+        assert n == 5000
+        start = time.perf_counter()
+        f = tree_labeler(t)
+        elapsed = time.perf_counter() - start
+        assert is_vertex_sum_distinguishing(t, f)
+        assert f.max_label <= 2 * n - 2 - leaf_stat(t).max_leaf_neighbors
+        assert elapsed < 10.0
 
 
 def test_repair_rejects_empty_vertex_set():

@@ -12,8 +12,8 @@ from sumlabel.formats import (labeling_payload, parse_graph, parse_hypergraph,
                               serialize_graph, serialize_hypergraph)
 from sumlabel.hypergraph import Labeling
 
-from helpers import (TWO_STEP_INSTANCES, complete_hypergraph, random_graph,
-                     random_hypergraph)
+from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph, path_graph,
+                     random_graph, random_hypergraph, random_tree)
 
 
 class TestHypergraphFormat:
@@ -296,4 +296,47 @@ def test_label_two_step_golden_stdout(capsys, tmp_path, name, flags, expected):
     path = tmp_path / f"{name}.hg"
     path.write_text(TWO_STEP_INSTANCES[name])
     assert main(["label", "two-step", str(path), *flags]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# `label tree` stdout on fixed trees, recorded before the labeler kept its
+# state incrementally: it must make the same choice at every step.
+GOLDEN_TREE_RUNS = [
+    ("edge", lambda: path_graph(2),
+     '{"bound": 1, "labels": [1, 1], "max_label": 1, "max_leaf_neighbors": 1, "verified": '
+     'true}\n'),
+    ("caterpillar", lambda: caterpillar_tree([2, 2, 2]),
+     '{"bound": 14, "labels": [1, 1, 1, 6, 7, 5, 4, 9, 2], "max_label": 9, '
+     '"max_leaf_neighbors": 2, "verified": true}\n'),
+    ("random300", lambda: random_tree(Random(300), 300),
+     '{"bound": 596, "labels": [142, 40, 58, 69, 37, 20, 1, 20, 33, 38, 67, 94, 25, 113, '
+     '76, 83, 7, 206, 39, 9, 2, 26, 251, 118, 4, 28, 19, 4, 11, 30, 12, 28, 197, 28, 31, '
+     '219, 77, 129, 33, 87, 13, 58, 42, 45, 5, 218, 9, 25, 1, 84, 7, 72, 33, 105, 5, 25, '
+     '6, 97, 87, 4, 113, 34, 15, 144, 120, 48, 69, 8, 115, 76, 7, 23, 2, 239, 24, 186, 7, '
+     '36, 191, 4, 17, 55, 118, 77, 3, 39, 40, 45, 35, 177, 5, 50, 3, 1, 226, 7, 12, 64, '
+     '14, 48, 7, 151, 58, 15, 55, 26, 2, 14, 222, 125, 4, 124, 55, 121, 46, 67, 102, 35, '
+     '38, 132, 28, 120, 77, 2, 102, 124, 220, 52, 137, 1, 108, 38, 86, 50, 31, 59, 14, '
+     '37, 166, 36, 161, 79, 164, 36, 31, 90, 149, 129, 28, 10, 24, 118, 3, 31, 50, 14, '
+     '150, 31, 17, 234, 2, 17, 174, 16, 154, 9, 131, 3, 16, 42, 6, 11, 168, 17, 104, 202, '
+     '63, 46, 49, 22, 25, 14, 125, 171, 4, 15, 4, 169, 65, 4, 10, 8, 67, 115, 43, 4, 154, '
+     '176, 24, 223, 14, 12, 96, 17, 37, 6, 134, 25, 108, 33, 64, 4, 1, 80, 81, 59, 1, 60, '
+     '4, 51, 42, 13, 15, 1, 5, 30, 12, 14, 239, 26, 6, 123, 106, 24, 13, 11, 12, 190, 13, '
+     '17, 35, 205, 4, 3, 18, 43, 77, 2, 3, 222, 22, 116, 1, 26, 24, 38, 50, 99, 36, 190, '
+     '57, 2, 97, 17, 50, 61, 55, 83, 10, 34, 10, 123, 19, 119, 55, 1, 2, 39, 12, 110, 83, '
+     '43, 31, 34, 3, 29, 94, 10, 181, 10, 48, 165, 7, 2, 31, 265, 6, 4, 23, 1], '
+     '"max_label": 265, "max_leaf_neighbors": 2, "verified": true}\n'),
+    ("path50", lambda: path_graph(50),
+     '{"bound": 97, "labels": [17, 14, 31, 11, 18, 38, 7, 9, 33, 9, 5, 26, 3, 39, 4, 10, '
+     '24, 10, 21, 10, 21, 8, 21, 8, 6, 8, 14, 14, 2, 5, 16, 12, 4, 10, 11, 3, 13, 3, 4, '
+     '10, 4, 1, 6, 5, 2, 3, 4, 1, 1, 2], "max_label": 39, "max_leaf_neighbors": 1, '
+     '"verified": true}\n'),
+]
+
+
+@pytest.mark.parametrize("name,build,expected", GOLDEN_TREE_RUNS,
+                         ids=[run[0] for run in GOLDEN_TREE_RUNS])
+def test_label_tree_golden_stdout(capsys, tmp_path, name, build, expected):
+    path = tmp_path / f"{name}.g"
+    path.write_text(serialize_graph(build()))
+    assert main(["label", "tree", str(path)]) == 0
     assert capsys.readouterr().out == expected
