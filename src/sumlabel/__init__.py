@@ -10,7 +10,7 @@ from .constructive import (DegreeBoundsReport, LeafStat, RepairResult, leaf_stat
 from .errors import (BudgetExhausted, DimensionError, DualDegenerate, EmptyNeighborhood,
                      InfeasibleParams, OracleTooLarge, ParamsOutOfRange, ParseError,
                      ShapeError, SumLabelError, TooLarge, ValidationError)
-from .exact import SolveResult, decide_labeling, exact_irr, exact_s, exact_s_star, oracle_enumerate
+from .exact import SolveResult, decide_labeling, exact_irr, exact_s, exact_s_star
 from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
                          LowerBoundParams, gen_runiform, lower_bound_instance,
                          lower_bound_params, run_experiment, sum_class_histogram)
@@ -41,7 +41,7 @@ __all__ = [
     "gen_runiform", "injective_reduction", "is_distinguishing",
     "is_vertex_sum_distinguishing", "iter_sum_pmfs", "leaf_stat", "lower_bound_instance",
     "lower_bound_params", "merge_inequality_check", "open_neighborhood_hypergraph",
-    "oracle_enumerate", "peak_probability_margin", "power_of_two_labeling",
+    "peak_probability_margin", "power_of_two_labeling",
     "quadratic_random_labeling", "repair_labeler", "run_experiment", "s_star_bounds",
     "split_embed", "step_one", "step_one_successful", "sum_class_histogram", "sum_pmf",
     "tree_labeler", "two_step_labeling", "window_probability",

@@ -1,127 +1,261 @@
 """Exact minimum-max-label solvers at desk scale.
 
 ``exact_s`` finds the smallest N admitting a distinguishing labeling with
-labels in [N] via iterative deepening on N over a depth-first search that
-assigns vertices in a fixed order and prunes as soon as two fully
-assigned edges share a sum.  Exhausting every N below the reported
-optimum is the optimality proof; termination is guaranteed because
-powers of two always work, so s(H) <= 2**(n-1).
+labels in [N] by trying N = lower bound, lower bound + 1, ... in turn.
+Each try is a depth-first search (:class:`_Search`) that labels the
+covered vertices in a fixed order, smallest label first, and returns the
+first labeling it completes: the lexicographically first distinguishing
+labeling in search order.  Exhausting every N below the reported optimum
+is the optimality proof; termination is guaranteed because powers of two
+always work, so s(H) <= 2**(n-1).
 
-``oracle_enumerate`` is a deliberately naive full scan kept as an
-independent check on the search.
+The search keeps the sums of the completed edges in one int bitmask and
+checks forward: on entering a vertex it rules out, in one pass over the
+edges that vertex completes, every label that would repeat a sum, so each
+label it accepts keeps all completed sums distinct.  Vertices that a
+transposition maps onto each other (see :func:`symmetry_classes`) take
+non-decreasing labels along the search order, which cuts the symmetric
+copies of each subtree without changing the labeling found.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from heapq import heapify, heappop, heappush
 
 from .constructive import s_star_bounds
-from .errors import BudgetExhausted, OracleTooLarge
+from .errors import BudgetExhausted
 from .hypergraph import Graph, Hypergraph, Labeling, is_distinguishing
 from .transforms import closed_neighborhood_hypergraph, dual
 
 DEFAULT_NODE_BUDGET = 10**7
-ORACLE_GUARD = 10**8
 
 
 @dataclass
 class SolveResult:
     """Outcome of an exact solve: the optimum, a verified witness, and
-    search-effort counters."""
+    search-effort counters.
+
+    ``nodes_expanded`` counts the labels the search accepted over every
+    bound tried, and ``nodes_per_bound`` splits that count by bound N.
+    ``symmetry_classes`` is the number of transposition-symmetry classes
+    among the searched (covered) vertices.
+    """
 
     optimum: int
     witness: Labeling
     nodes_expanded: int
     elapsed: float
+    nodes_per_bound: dict[int, int]
+    symmetry_classes: int
 
 
 def _static_vertex_order(h: Hypergraph) -> list[int]:
-    """Fixed assignment order: greedily pick the vertex that completes the
-    most edges given what is already assigned, breaking ties by incident
-    edge count and then by index.  Computed once so the search is
-    deterministic."""
-    n = h.vertex_count
+    """Fixed assignment order of the covered vertices: greedily pick the
+    vertex that completes the most edges given what is already assigned,
+    breaking ties by incident edge count and then by smallest index.
+
+    A lazy max-heap holds ``(completes, degree, -v)``; ``completes`` only
+    grows, so a vertex's newest entry pops before its older ones, which
+    are then skipped as already assigned.
+    Each edge keeps the sum of its unassigned vertex ids, so when one
+    vertex is left that sum names it.  O((n + sum |e|) log n).  Uncovered
+    vertices complete nothing and are left out: they always take label 1.
+    """
+    incidence = h.incidence
     remaining = [len(e) for e in h.edges]
-    unassigned = set(range(n))
+    id_sum = [sum(e) for e in h.edges]
+    completes = [0] * h.vertex_count
+    for i, size in enumerate(remaining):
+        if size == 1:
+            completes[id_sum[i]] += 1
+    heap = [(-completes[v], -len(inc), v) for v, inc in enumerate(incidence) if inc]
+    heapify(heap)
+    assigned = [False] * h.vertex_count
     order = []
-    while unassigned:
-        best, best_key = -1, None
-        for v in sorted(unassigned):
-            completes = sum(1 for i in h.incidence[v] if remaining[i] == 1)
-            key = (completes, len(h.incidence[v]), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        unassigned.remove(best)
-        for i in h.incidence[best]:
+    while heap:
+        v = heappop(heap)[2]
+        if assigned[v]:
+            continue
+        assigned[v] = True
+        order.append(v)
+        for i in incidence[v]:
             remaining[i] -= 1
+            id_sum[i] -= v
+            if remaining[i] == 1:
+                last = id_sum[i]
+                completes[last] += 1
+                heappush(heap, (-completes[last], -len(incidence[last]), last))
     return order
 
 
+def _swap_is_symmetry(edges, edge_set, incidence, u: int, v: int) -> bool:
+    """True iff exchanging u and v maps the edge set onto itself.  Edges
+    holding both or neither are fixed, so only the others are mapped."""
+    for i in incidence[u] ^ incidence[v]:
+        e = edges[i]
+        image = e - {u} | {v} if u in e else e - {v} | {u}
+        if image not in edge_set:
+            return False
+    return True
+
+
+def symmetry_classes(h: Hypergraph) -> list[list[int]]:
+    """Classes of covered vertices under "exchanging u and v maps the edge
+    set onto itself", each sorted, ordered by smallest member.
+
+    The relation is an equivalence: if (u v) and (v w) are symmetries, so
+    is (u w) = (u v)(v w)(u v).  Classes are found by hashing, not by
+    testing every pair: twins share their incidence set; vertices that
+    never share an edge are exchangeable exactly when their sets
+    {e - u : e contains u} are equal (that set holds an edge through v
+    whenever u and v share one, so equal sets also rule sharing out); and
+    the remaining merges are tested directly, at most once per pair of
+    classes of equal degree that meet in an edge.
+    """
+    n = h.vertex_count
+    edges, incidence = h.edges, h.incidence
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(u: int, v: int) -> None:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+
+    covered = [v for v in range(n) if incidence[v]]
+    for key in (lambda v: incidence[v],
+                lambda v: frozenset(edges[i] - {v} for i in incidence[v])):
+        first: dict = {}
+        for v in covered:
+            union(first.setdefault(key(v), v), v)
+
+    edge_set = set(edges)
+    refuted: set[tuple[int, int]] = set()
+    for e in edges:
+        reps = sorted({find(v) for v in e})
+        for a, u in enumerate(reps):
+            for v in reps[a + 1:]:
+                ru, rv = sorted((find(u), find(v)))
+                if ru == rv or len(incidence[ru]) != len(incidence[rv]) or (ru, rv) in refuted:
+                    continue
+                if _swap_is_symmetry(edges, edge_set, incidence, ru, rv):
+                    union(ru, rv)
+                else:
+                    refuted.add((ru, rv))
+
+    classes: dict[int, list[int]] = {}
+    for v in covered:
+        classes.setdefault(find(v), []).append(v)
+    return list(classes.values())
+
+
 class _Search:
-    """Depth-first label assignment with collision pruning on completed edges."""
+    """Iterative depth-first search with forward checking over the covered
+    vertices, in :func:`_static_vertex_order`.
+
+    Set-up, once per instance: for each depth, the edges that the vertex
+    at that depth completes, each as the tuple of earlier depths it holds,
+    and the depth of the previous vertex of the same symmetry class.
+
+    Entering a depth computes those edges' partial sums p.  Two equal
+    partials would give two equal sums whatever the label, so the subtree
+    is dead.  Otherwise label x repeats a completed sum exactly when bit
+    x + p of ``used`` (the bitmask of completed edge sums) is set, so the
+    candidates are the clear bits of ``OR(used >> p)`` within [lo, N],
+    where lo is the label of the previous vertex of the same class (1 if
+    none).  Accepting x sets bits x + p in ``used``; backtracking clears
+    them.  A *node* is one accepted label.
+
+    Symmetry: let (u v) map the edge set onto itself and u come first in
+    search order.  If a distinguishing labeling f has f(u) > f(v), then f
+    with the two labels exchanged is distinguishing too (its edge sums are
+    those of f, permuted), has the same maximum, and is lexicographically
+    smaller in search order.  So the first labeling in that order, which
+    the search without the class constraint would return, already has
+    non-decreasing labels within each class: the constraint leaves the
+    optimum and the witness unchanged and only prunes.
+    """
 
     def __init__(self, h: Hypergraph, node_budget: int | None):
         self.h = h
         self.order = _static_vertex_order(h)
-        self.incident = [sorted(h.incidence[v]) for v in range(h.vertex_count)]
+        depth_of = [0] * h.vertex_count
+        for d, v in enumerate(self.order):
+            depth_of[v] = d
+        self.completed: list[list[tuple[int, ...]]] = [[] for _ in self.order]
+        for e in h.edges:
+            depths = sorted(depth_of[v] for v in e)
+            self.completed[depths[-1]].append(tuple(depths[:-1]))
+        classes = symmetry_classes(h)
+        self.symmetry_classes = len(classes)
+        self.previous = [-1] * len(self.order)
+        for members in classes:
+            depths = sorted(depth_of[v] for v in members)
+            for before, d in zip(depths, depths[1:]):
+                self.previous[d] = before
         self.node_budget = node_budget
         self.nodes = 0
 
     def decide(self, max_label: int) -> Labeling | None:
-        h = self.h
-        n = h.vertex_count
-        values = [0] * n
-        partial = [0] * h.edge_count
-        remaining = [len(e) for e in h.edges]
-        sum_count: dict[int, int] = {}
+        size = len(self.order)
+        completed, previous = self.completed, self.previous
+        budget = self.node_budget
+        labels = [0] * size
+        candidates = [0] * size  # labels still to try at each depth, as a bitmask
+        partials = [0] * size  # bitmask of the partial sums of the edges completed there
+        used = 0
+        top = (1 << (max_label + 1)) - 1
 
-        def assign(depth: int) -> bool:
-            if depth == n:
-                return True
-            v = self.order[depth]
-            inc = self.incident[v]
-            for label in range(1, max_label + 1):
-                self.nodes += 1
-                if self.node_budget is not None and self.nodes > self.node_budget:
-                    raise BudgetExhausted(
-                        f"node budget {self.node_budget} exhausted", detail={"nodes": self.nodes}
-                    )
-                values[v] = label
-                touched = 0
-                completed = []
-                ok = True
-                for i in inc:
-                    partial[i] += label
-                    remaining[i] -= 1
-                    touched += 1
-                    if remaining[i] == 0:
-                        s = partial[i]
-                        c = sum_count.get(s, 0)
-                        sum_count[s] = c + 1
-                        completed.append(i)
-                        if c:
-                            ok = False
-                            break
-                if ok and assign(depth + 1):
-                    return True
-                for i in completed:
-                    s = partial[i]
-                    if sum_count[s] == 1:
-                        del sum_count[s]
-                    else:
-                        sum_count[s] -= 1
-                for i in inc[:touched]:
-                    partial[i] -= label
-                    remaining[i] += 1
-            values[v] = 0
-            return False
+        def enter(d: int) -> None:
+            lo = labels[previous[d]] if previous[d] >= 0 else 1
+            mask = forbidden = 0
+            for members in completed[d]:
+                p = 0
+                for j in members:
+                    p += labels[j]
+                if mask >> p & 1:
+                    candidates[d] = 0
+                    return
+                mask |= 1 << p
+                forbidden |= used >> p
+            partials[d] = mask
+            candidates[d] = top & ~forbidden & -(1 << lo)
 
-        if assign(0):
-            return Labeling(values)
-        return None
+        d = 0
+        if size:
+            enter(0)
+        while 0 <= d < size:
+            c = candidates[d]
+            if not c:
+                d -= 1
+                if d >= 0:
+                    used ^= partials[d] << labels[d]
+                continue
+            low = c & -c
+            candidates[d] = c ^ low
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted",
+                                      detail={"nodes": self.nodes})
+            x = low.bit_length() - 1
+            labels[d] = x
+            used |= partials[d] << x
+            d += 1
+            if d < size:
+                enter(d)
+        if d < 0:
+            return None
+        values = [1] * self.h.vertex_count
+        for v, x in zip(self.order, labels):
+            values[v] = x
+        return Labeling(values)
 
 
 def decide_labeling(h: Hypergraph, max_label: int,
@@ -159,7 +293,9 @@ def exact_s(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET,
     ceiling = 1 << (h.vertex_count - 1)
     lo = max(lower_bound, _quick_lower_bound(h))
     search = _Search(h, node_budget)
+    nodes_per_bound: dict[int, int] = {}
     for bound in range(lo, ceiling + 1):
+        before = search.nodes
         try:
             witness = search.decide(bound)
         except BudgetExhausted as exc:
@@ -168,9 +304,11 @@ def exact_s(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET,
                 bracket=(bound, ceiling),
                 detail={"nodes": search.nodes},
             ) from exc
+        nodes_per_bound[bound] = search.nodes - before
         if witness is not None:
             assert is_distinguishing(h, witness)
-            return SolveResult(bound, witness, search.nodes, time.perf_counter() - start)
+            return SolveResult(bound, witness, search.nodes, time.perf_counter() - start,
+                               nodes_per_bound, search.symmetry_classes)
     raise AssertionError("unreachable: powers of two give a labeling at the ceiling")
 
 
@@ -192,17 +330,3 @@ def exact_irr(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET) -> S
     degenerate dual (two vertices in exactly the same edges) propagates
     :class:`DualDegenerate` since no irregular labeling can exist."""
     return exact_s(dual(h), node_budget)
-
-
-def oracle_enumerate(h: Hypergraph, max_label: int) -> Labeling | None:
-    """Scan all max_label**n labelings in lexicographic order and return the
-    first distinguishing one, or None.  Ground-truth oracle for
-    :func:`decide_labeling`; guarded to at most 10**8 candidates."""
-    n = h.vertex_count
-    if max_label**n > ORACLE_GUARD:
-        raise OracleTooLarge(f"{max_label}**{n} labelings exceed the enumeration guard")
-    for values in product(range(1, max_label + 1), repeat=n):
-        f = Labeling(values)
-        if is_distinguishing(h, f):
-            return f
-    return None

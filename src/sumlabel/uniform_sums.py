@@ -165,8 +165,10 @@ class MergeChecks(NamedTuple):
 
 
 def _as_fraction(p) -> Fraction:
-    q = Fraction(p)
-    if not 0 < q < 1:
+    # a Fraction (or an int) already carries its lowest terms with a
+    # positive denominator, so 0 < p < 1 is an int comparison
+    q = p if isinstance(p, (Fraction, int)) else Fraction(p)
+    if not 0 < q.numerator < q.denominator:
         raise ValueError("p must lie strictly between 0 and 1")
     return q
 

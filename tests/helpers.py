@@ -12,7 +12,8 @@ from itertools import combinations, product
 from math import ceil, comb, exp
 from random import Random
 
-from sumlabel import Graph, Hypergraph, Labeling, is_distinguishing
+from sumlabel import (BudgetExhausted, Graph, Hypergraph, Labeling, OracleTooLarge,
+                      is_distinguishing)
 
 
 # Instance files for the two-step labeler.  With small K and C, "c", "e"
@@ -62,6 +63,11 @@ def random_hypergraph(rng: Random, n: int, m: int, max_size: int | None = None) 
         k = rng.randint(1, limit)
         edges.add(frozenset(rng.sample(range(n), k)))
     return Hypergraph(n, sorted(edges, key=lambda e: (len(e), sorted(e))))
+
+
+def graph_as_hypergraph(g: Graph) -> Hypergraph:
+    """The 2-uniform hypergraph with the edges of g."""
+    return Hypergraph(g.vertex_count, sorted(g.edges))
 
 
 def random_graph(rng: Random, n: int, p: float) -> Graph:
@@ -118,6 +124,143 @@ def brute_force_decide(h: Hypergraph, cap: int) -> tuple[int, ...] | None:
         if is_distinguishing(h, Labeling(values)):
             return values
     return None
+
+
+ORACLE_GUARD = 10**8
+
+
+def oracle_enumerate(h: Hypergraph, max_label: int) -> Labeling | None:
+    """Scan all max_label**n labelings in lexicographic order and return the
+    first distinguishing one, or None.  Ground-truth oracle for
+    ``decide_labeling``; guarded to at most 10**8 candidates."""
+    n = h.vertex_count
+    if max_label**n > ORACLE_GUARD:
+        raise OracleTooLarge(f"{max_label}**{n} labelings exceed the enumeration guard")
+    for values in product(range(1, max_label + 1), repeat=n):
+        f = Labeling(values)
+        if is_distinguishing(h, f):
+            return f
+    return None
+
+
+def _oracle_static_vertex_order(h: Hypergraph) -> list[int]:
+    """Fixed assignment order: greedily pick the vertex that completes the
+    most edges given what is already assigned, breaking ties by incident
+    edge count and then by index.  Computed once so the search is
+    deterministic."""
+    n = h.vertex_count
+    remaining = [len(e) for e in h.edges]
+    unassigned = set(range(n))
+    order = []
+    while unassigned:
+        best, best_key = -1, None
+        for v in sorted(unassigned):
+            completes = sum(1 for i in h.incidence[v] if remaining[i] == 1)
+            key = (completes, len(h.incidence[v]), -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        order.append(best)
+        unassigned.remove(best)
+        for i in h.incidence[best]:
+            remaining[i] -= 1
+    return order
+
+
+class _OracleSearch:
+    """Depth-first label assignment with collision pruning on completed edges."""
+
+    def __init__(self, h: Hypergraph, node_budget: int | None):
+        self.h = h
+        self.order = _oracle_static_vertex_order(h)
+        self.incident = [sorted(h.incidence[v]) for v in range(h.vertex_count)]
+        self.node_budget = node_budget
+        self.nodes = 0
+
+    def decide(self, max_label: int) -> Labeling | None:
+        h = self.h
+        n = h.vertex_count
+        values = [0] * n
+        partial = [0] * h.edge_count
+        remaining = [len(e) for e in h.edges]
+        sum_count: dict[int, int] = {}
+
+        def assign(depth: int) -> bool:
+            if depth == n:
+                return True
+            v = self.order[depth]
+            inc = self.incident[v]
+            for label in range(1, max_label + 1):
+                self.nodes += 1
+                if self.node_budget is not None and self.nodes > self.node_budget:
+                    raise BudgetExhausted(
+                        f"node budget {self.node_budget} exhausted", detail={"nodes": self.nodes}
+                    )
+                values[v] = label
+                touched = 0
+                completed = []
+                ok = True
+                for i in inc:
+                    partial[i] += label
+                    remaining[i] -= 1
+                    touched += 1
+                    if remaining[i] == 0:
+                        s = partial[i]
+                        c = sum_count.get(s, 0)
+                        sum_count[s] = c + 1
+                        completed.append(i)
+                        if c:
+                            ok = False
+                            break
+                if ok and assign(depth + 1):
+                    return True
+                for i in completed:
+                    s = partial[i]
+                    if sum_count[s] == 1:
+                        del sum_count[s]
+                    else:
+                        sum_count[s] -= 1
+                for i in inc[:touched]:
+                    partial[i] -= label
+                    remaining[i] += 1
+            values[v] = 0
+            return False
+
+        if assign(0):
+            return Labeling(values)
+        return None
+
+
+def exact_search_oracle(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
+    """Optimum and witness of the exact solver by its earlier recursive
+    search (no forward checking, no symmetry classes), trying N = 1, 2, ...
+    The witness is the lexicographically first distinguishing labeling in
+    the search order at the optimum, whatever bound the solver starts from,
+    so the library must return the same one."""
+    search = _OracleSearch(h, None)
+    bound = 1
+    while True:
+        found = search.decide(bound)
+        if found is not None:
+            return bound, found.values
+        bound += 1
+
+
+def symmetry_classes_oracle(h: Hypergraph) -> list[list[int]]:
+    """Classes of covered vertices that a transposition maps onto each
+    other, by exchanging every pair and rebuilding the whole edge set.
+    Each vertex's partners must form a partition (the relation is an
+    equivalence); classes are sorted and ordered by smallest member."""
+    edges = set(h.edges)
+    covered = [v for v in range(h.vertex_count) if h.incidence[v]]
+
+    def exchangeable(u: int, v: int) -> bool:
+        swap = {u: v, v: u}
+        return {frozenset(swap.get(w, w) for w in e) for e in edges} == edges
+
+    partners = {v: tuple(u for u in covered if exchangeable(u, v)) for v in covered}
+    classes = sorted(set(partners.values()))
+    assert sorted(v for members in classes for v in members) == covered
+    return [list(members) for members in classes]
 
 
 def pair_classes_oracle(h: Hypergraph, cutoff: int, stray_limit: int):

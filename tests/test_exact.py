@@ -1,4 +1,5 @@
-"""Exact solver against the brute-force enumeration oracle."""
+"""Exact solver against the brute-force enumeration oracle and the earlier
+recursive search."""
 
 from random import Random
 
@@ -6,10 +7,13 @@ import pytest
 
 from sumlabel import (BudgetExhausted, DualDegenerate, Hypergraph, OracleTooLarge,
                       closed_neighborhood_hypergraph, decide_labeling, dual, exact_irr,
-                      exact_s, exact_s_star, is_distinguishing, oracle_enumerate)
+                      exact_s, exact_s_star, is_distinguishing)
+from sumlabel.exact import DEFAULT_NODE_BUDGET, symmetry_classes
 
 from helpers import (brute_force_decide, brute_force_min_max_label, complete_graph,
-                     complete_hypergraph, path_graph, random_hypergraph, star_graph)
+                     complete_hypergraph, exact_search_oracle, graph_as_hypergraph,
+                     oracle_enumerate, path_graph, random_graph, random_hypergraph, star_graph,
+                     symmetry_classes_oracle)
 
 
 class TestDecideLabeling:
@@ -180,3 +184,131 @@ class TestExactIrr:
                 continue
             done += 1
             assert exact_irr(h).optimum == exact_s(dual(h)).optimum
+
+
+def _irr_instances(rng: Random, count: int):
+    """Random hypergraphs whose vertices lie in distinct, nonempty edge sets."""
+    found = []
+    while len(found) < count:
+        n = rng.randint(2, 6)
+        h = random_hypergraph(rng, n, rng.randint(2, min(7, 2**n - 1)), max_size=3)
+        inc = h.incidence
+        if all(inc) and len(set(inc)) == n:
+            found.append(h)
+    return found
+
+
+class TestSearchAgainstRecursiveOracle:
+    """The forward-checking search with symmetry classes must return the
+    same optimum and the same witness as the earlier recursive search."""
+
+    @staticmethod
+    def check(res, h):
+        optimum, witness = exact_search_oracle(h)
+        assert (res.optimum, res.witness.values) == (optimum, witness)
+        assert sum(res.nodes_per_bound.values()) == res.nodes_expanded
+        assert max(res.nodes_per_bound) == res.optimum
+        assert res.symmetry_classes == len(symmetry_classes_oracle(h))
+
+    def test_exact_s_random_hypergraphs(self):
+        rng = Random(53)
+        for _ in range(340):
+            n = rng.randint(1, 6)
+            h = random_hypergraph(rng, n, rng.randint(1, min(10, 2**n - 1)))
+            self.check(exact_s(h), h)
+
+    def test_exact_s_sparse_on_seven_and_eight_vertices(self):
+        rng = Random(59)
+        for _ in range(40):
+            n = rng.randint(7, 8)
+            h = random_hypergraph(rng, n, rng.randint(1, 8), max_size=4)
+            self.check(exact_s(h), h)
+
+    def test_exact_s_dense_graphs_full_of_twins(self):
+        rng = Random(61)
+        seen = set()
+        for _ in range(30):
+            h = graph_as_hypergraph(random_graph(rng, 6, 0.8))
+            if h.edge_count and h.edges not in seen:
+                seen.add(h.edges)
+                self.check(exact_s(h), h)
+
+    def test_exact_s_star(self):
+        rng = Random(67)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.5)))
+            self.check(exact_s_star(g), closed_neighborhood_hypergraph(g))
+
+    def test_exact_irr(self):
+        for h in _irr_instances(Random(71), 40):
+            self.check(exact_irr(h), dual(h))
+
+
+class TestSymmetryClasses:
+    def test_twins(self):
+        h = Hypergraph(4, [{0, 1}, {0, 1, 2}, {3}])
+        assert symmetry_classes(h) == [[0, 1], [2], [3]]
+
+    def test_complete_hypergraph_is_one_class(self):
+        for n in range(1, 6):
+            assert symmetry_classes(complete_hypergraph(n)) == [list(range(n))]
+
+    def test_symmetric_pair_sharing_an_edge(self):
+        # 0 and 1 share {0, 1} and are not twins; exchanging them swaps {0, 2} and {1, 2}
+        h = Hypergraph(4, [{0, 1}, {0, 2}, {1, 2}, {2, 3}])
+        assert symmetry_classes(h) == [[0, 1], [2], [3]]
+
+    def test_symmetric_pair_sharing_no_edge(self):
+        h = Hypergraph(4, [{0, 2}, {1, 2}, {2}, {3}])
+        assert symmetry_classes(h) == [[0, 1], [2], [3]]
+
+    def test_near_miss_is_not_merged(self):
+        # 0 and 1 share an edge, have equal degrees and edge sizes, but
+        # exchanging them sends {0, 2} to {1, 2}, which is not an edge; only
+        # the double exchange (0 1)(2 3) is a symmetry
+        h = Hypergraph(4, [{0, 1}, {0, 2}, {1, 3}])
+        assert symmetry_classes(h) == [[0], [1], [2], [3]]
+
+    def test_uncovered_vertices_are_left_out(self):
+        assert symmetry_classes(Hypergraph(5, [{1, 3}])) == [[1, 3]]
+
+    def test_agrees_with_brute_force(self):
+        rng = Random(73)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            if rng.random() < 0.5:
+                h = random_hypergraph(rng, n, rng.randint(1, min(9, 2**n - 1)))
+            else:
+                g = random_graph(rng, n, rng.choice((0.5, 0.8)))
+                if not g.edge_count:
+                    continue
+                h = graph_as_hypergraph(g)
+            assert symmetry_classes(h) == symmetry_classes_oracle(h)
+
+
+class TestLunnon:
+    def test_complete_hypergraph_on_six_within_default_budget(self):
+        # Lunnon (Math. Comp. 1988): the least maximum of a 6-set with
+        # distinct subset sums is 24, reached by {11, 17, 20, 22, 23, 24}
+        res = exact_s(complete_hypergraph(6))
+        assert res.optimum == 24
+        assert res.witness.values == (11, 17, 20, 22, 23, 24)
+        assert res.nodes_expanded <= DEFAULT_NODE_BUDGET
+        assert res.symmetry_classes == 1
+
+
+class TestIterativeSearch:
+    def test_long_path_of_pairs_does_not_recurse(self):
+        # 1200 disjoint pairs: far deeper than Python's recursion limit
+        h = Hypergraph(2400, [{v, v + 1} for v in range(0, 2400, 2)])
+        res = exact_s(h)
+        assert is_distinguishing(h, res.witness)
+
+    def test_uncovered_vertices_take_label_one(self):
+        res = exact_s(Hypergraph(6, [{1, 4}, {1}, {4}]))
+        assert res.witness.values == (1, 1, 1, 1, 2, 1)
+        assert res.symmetry_classes == 1
+
+    def test_no_edges(self):
+        res = exact_s(Hypergraph(4, []))
+        assert (res.optimum, res.witness.values, res.nodes_expanded) == (1, (1, 1, 1, 1), 0)

@@ -1,6 +1,8 @@
 """File formats and the command-line interface."""
 
 import json
+import re
+import time
 from random import Random
 
 import pytest
@@ -12,8 +14,9 @@ from sumlabel.formats import (labeling_payload, parse_graph, parse_hypergraph,
                               serialize_graph, serialize_hypergraph)
 from sumlabel.hypergraph import Labeling
 
-from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph, path_graph,
-                     random_graph, random_hypergraph, random_tree)
+from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
+                     graph_as_hypergraph, path_graph, random_graph, random_hypergraph,
+                     random_tree, star_graph)
 
 
 class TestHypergraphFormat:
@@ -340,3 +343,61 @@ def test_label_tree_golden_stdout(capsys, tmp_path, name, build, expected):
     path.write_text(serialize_graph(build()))
     assert main(["label", "tree", str(path)]) == 0
     assert capsys.readouterr().out == expected
+
+
+# `solve` stdout on fixed instances, recorded before the search checked
+# forward and used symmetry classes.  Optimum and witness must stay
+# byte-identical; only the node count may change, so it is masked.
+GOLDEN_SOLVE_RUNS = [
+    ("s", "K4", lambda: serialize_hypergraph(complete_hypergraph(4)),
+     '{"nodes": _, "optimum": 7, "witness": [3, 5, 6, 7]}\n'),
+    ("s", "K5", lambda: serialize_hypergraph(complete_hypergraph(5)),
+     '{"nodes": _, "optimum": 13, "witness": [3, 6, 11, 12, 13]}\n'),
+    ("s", "rand6", lambda: serialize_hypergraph(random_hypergraph(Random(5), 6, 10)),
+     '{"nodes": _, "optimum": 3, "witness": [3, 1, 3, 1, 2, 1]}\n'),
+    ("s", "rand8", lambda: serialize_hypergraph(random_hypergraph(Random(8), 8, 9, max_size=4)),
+     '{"nodes": _, "optimum": 3, "witness": [3, 2, 2, 1, 3, 2, 3, 1]}\n'),
+    ("s", "g6_08",
+     lambda: serialize_hypergraph(graph_as_hypergraph(random_graph(Random(6), 6, 0.8))),
+     '{"nodes": _, "optimum": 9, "witness": [8, 1, 2, 3, 5, 9]}\n'),
+    ("s", "twins", lambda: "5 4\n2 0 1\n3 0 1 2\n1 3\n2 3 4\n",
+     '{"nodes": _, "optimum": 2, "witness": [1, 2, 1, 1, 1]}\n'),
+    ("s", "uncovered", lambda: "7 4\n2 1 3\n2 3 5\n1 5\n3 1 3 5\n",
+     '{"nodes": _, "optimum": 2, "witness": [1, 2, 1, 1, 1, 1, 1]}\n'),
+    ("sstar", "path6", lambda: serialize_graph(path_graph(6)),
+     '{"nodes": _, "optimum": 3, "witness": [1, 1, 1, 2, 3, 2]}\n'),
+    ("sstar", "star5", lambda: serialize_graph(star_graph(5)),
+     '{"nodes": _, "optimum": 4, "witness": [1, 1, 2, 3, 4]}\n'),
+    ("sstar", "g8_04", lambda: serialize_graph(random_graph(Random(9), 8, 0.4)),
+     '{"nodes": _, "optimum": 2, "witness": [1, 2, 1, 2, 1, 2, 2, 2]}\n'),
+    ("sstar", "caterpillar", lambda: serialize_graph(caterpillar_tree([2, 1, 2])),
+     '{"nodes": _, "optimum": 3, "witness": [1, 3, 3, 1, 2, 1, 2, 3]}\n'),
+    ("irr", "chain", lambda: "4 4\n2 0 1\n2 1 2\n2 2 3\n3 0 2 3\n",
+     '{"nodes": _, "optimum": 2, "witness": [1, 1, 2, 2]}\n'),
+    ("irr", "rand7", lambda: serialize_hypergraph(random_hypergraph(Random(2), 5, 7, max_size=3)),
+     '{"nodes": _, "optimum": 2, "witness": [2, 1, 1, 1, 2, 1, 2]}\n'),
+]
+
+
+@pytest.mark.parametrize("variant,name,build,expected", GOLDEN_SOLVE_RUNS,
+                         ids=[f"{run[0]}-{run[1]}" for run in GOLDEN_SOLVE_RUNS])
+def test_solve_golden_stdout(capsys, tmp_path, variant, name, build, expected):
+    path = tmp_path / name
+    path.write_text(build())
+    assert main(["solve", variant, str(path)]) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch(r'\{"nodes": [1-9][0-9]*, .*\n', out)
+    assert re.sub(r'"nodes": [0-9]+', '"nodes": _', out) == expected
+
+
+@pytest.mark.parametrize("text", ["2000 1\n2 0 1\n", "3000 0\n"], ids=["one_edge", "no_edges"])
+def test_solve_s_on_thousands_of_vertices(capsys, tmp_path, text):
+    path = tmp_path / "big.hg"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main(["solve", "s", str(path)])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["optimum"] == 1
+    assert payload["witness"] == [1] * int(text.split()[0])
+    assert elapsed < 2.0
