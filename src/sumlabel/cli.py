@@ -209,12 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="exact minimum max label")
+    p.set_defaults(func=_cmd_solve)
     p.add_argument("variant", choices=("s", "sstar", "irr"))
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=exact.DEFAULT_NODE_BUDGET,
                    help="search node budget")
 
     p = sub.add_parser("label", help="construct a distinguishing labeling")
+    p.set_defaults(func=_cmd_label)
     p.add_argument("algorithm", choices=("quadratic", "two-step", "repair", "tree"))
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -226,13 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step2-budget", type=int, default=1000)
 
     p = sub.add_parser("bounds", help="degree-based bracket for a graph")
+    p.set_defaults(func=_cmd_bounds)
     p.add_argument("file")
 
     p = sub.add_parser("dual", help="dual hypergraph")
+    p.set_defaults(func=_cmd_dual)
     p.add_argument("file")
     p.add_argument("--out")
 
     p = sub.add_parser("gen", help="generate instances")
+    p.set_defaults(func=_cmd_gen)
     gensub = p.add_subparsers(dest="model", required=True)
     pr = gensub.add_parser("runiform")
     pr.add_argument("n", type=int)
@@ -249,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--out")
 
     p = sub.add_parser("pmf", help="exact sum-of-uniforms distribution")
+    p.set_defaults(func=_cmd_pmf)
     p.add_argument("summands", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
@@ -257,10 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="emit exact fractions as strings")
 
     p = sub.add_parser("experiment", help="run a seeded experiment batch")
+    p.set_defaults(func=_cmd_experiment)
     p.add_argument("config")
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
 
     p = sub.add_parser("verify", help="check a labeling against an instance")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("file")
     p.add_argument("--labels", help="comma- or space-separated label values")
     p.add_argument("--labels-file", help="JSON file with a 'labels' array")
@@ -272,35 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    code = 0
+    if args.command == "verify" and args.labels is None and args.labels_file is None:
+        parser.error("verify needs --labels or --labels-file")
     try:
-        if args.command == "solve":
-            payload = _cmd_solve(args)
-        elif args.command == "label":
-            payload = _cmd_label(args)
-        elif args.command == "bounds":
-            payload = _cmd_bounds(args)
-        elif args.command == "dual":
-            payload = _cmd_dual(args)
-        elif args.command == "gen":
-            payload = _cmd_gen(args)
-        elif args.command == "pmf":
-            payload = _cmd_pmf(args)
-        elif args.command == "experiment":
-            payload = _cmd_experiment(args)
-        else:
-            if args.labels is None and args.labels_file is None:
-                parser.error("verify needs --labels or --labels-file")
-            payload, code = _cmd_verify(args)
+        result = args.func(args)
     except _RESULT_ERRORS as exc:
         _emit(_error_payload(exc), args.format)
         return 1
-    except _USAGE_ERRORS as exc:
+    except (*_USAGE_ERRORS, SumLabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SumLabelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload, code = result if isinstance(result, tuple) else (result, 0)
     if payload is not None:
         _emit(payload, args.format)
     return code

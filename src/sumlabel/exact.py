@@ -290,9 +290,11 @@ def exact_s(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET,
     bracket of N values still in play.
     """
     start = time.perf_counter()
-    ceiling = 1 << (h.vertex_count - 1)
-    lo = max(lower_bound, _quick_lower_bound(h))
     search = _Search(h, node_budget)
+    # uncovered vertices take label 1, and powers of two on the c covered
+    # vertices give distinct sums, so s <= 2**(c - 1)
+    ceiling = 1 << max(len(search.order) - 1, 0)
+    lo = max(lower_bound, _quick_lower_bound(h))
     nodes_per_bound: dict[int, int] = {}
     for bound in range(lo, ceiling + 1):
         before = search.nodes

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp
+from itertools import accumulate
+from math import exp, isfinite
+from operator import le, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TooLarge
@@ -26,9 +28,16 @@ class Pmf:
     {1, ..., n_values}.  ``counts[t - summands]`` is the number of the
     n_values**summands outcome tuples summing to t.
 
-    Construction validates exactly: counts are non-negative, total to
-    n_values**summands, and are symmetric and unimodal about the mean
-    summands * (n_values + 1) / 2.
+    Construction validates exactly, each check one whole-tuple pass:
+    the length matches the support, counts are non-negative, total to
+    n_values**summands, equal their own reversal (symmetry about the mean
+    summands * (n_values + 1) / 2), and do not decrease up to the middle
+    (unimodality, given symmetry).  :func:`sum_pmf` computes only the
+    first half of the counts, in O(summands * support / 2) big-integer
+    additions, and mirrors it; the mirrored total is
+    2 * sum(half) - middle (no middle for even length), so the total
+    check still constrains every computed cell, and the unimodality check
+    reads the computed half directly.
     """
 
     summands: int
@@ -36,21 +45,21 @@ class Pmf:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        ell, n = self.summands, self.n_values
+        ell, n, c = self.summands, self.n_values, self.counts
         if ell < 1 or n < 1:
             raise ValueError("summands and n_values must be positive")
-        if len(self.counts) != ell * (n - 1) + 1:
+        if len(c) != ell * (n - 1) + 1:
             raise ValueError("counts length does not match the support")
-        if any(c < 0 for c in self.counts):
+        if min(c) < 0:
             raise ValueError("negative count")
-        if sum(self.counts) != n**ell:
+        if sum(c) != n**ell:
             raise ValueError("counts do not total n_values**summands")
-        m = len(self.counts)
-        for i in range(m // 2 + 1):
-            if self.counts[i] != self.counts[m - 1 - i]:
-                raise ValueError("counts not symmetric about the mean")
-            if i + 1 <= m - 1 - i and self.counts[i] > self.counts[i + 1]:
-                raise ValueError("counts not unimodal about the mean")
+        if c != c[::-1]:
+            raise ValueError("counts not symmetric about the mean")
+        # for even length the pair straddling the middle is equal by symmetry
+        half = c[: (len(c) + 1) // 2]
+        if not all(map(le, half, half[1:])):
+            raise ValueError("counts not unimodal about the mean")
 
     @property
     def support_base(self) -> int:
@@ -97,16 +106,24 @@ class Pmf:
 
 
 def _convolve_next(counts: list[int], n: int) -> list[int]:
-    """One more uniform summand: sliding-window sum of width n."""
-    m = len(counts)
-    out = [0] * (m + n - 1)
-    window = 0
-    for i in range(m + n - 1):
-        if i < m:
-            window += counts[i]
-        if i - n >= 0:
-            window -= counts[i - n]
-        out[i] = window
+    """One more uniform summand: out[i] = counts[i - n + 1] + ... + counts[i]
+    (terms outside counts are 0), each window sum a difference of two
+    prefix sums.
+
+    A sum of i.i.d. uniforms on [n] is symmetric about its mean
+    (x -> n + 1 - x maps each outcome tuple to one with the mirrored sum),
+    so ``out`` equals its reversal.  Only the first ceil(len(out) / 2)
+    cells are computed and the rest is their mirror image: about
+    len(out) / 2 big-integer additions and as many subtractions.  The
+    first half never reaches past counts, since len(counts) >= n.
+    """
+    size = len(counts) + n - 1
+    half = (size + 1) // 2
+    prefix = list(accumulate(counts[:half], initial=0))
+    # cells below n - 1 sum a window that starts before counts does
+    out = prefix[1:n]
+    out += map(sub, prefix[n:], prefix[: half - n + 1])
+    out += reversed(out[: size - half])
     return out
 
 
@@ -118,8 +135,9 @@ def _guard(summands: int, n_values: int) -> None:
 
 def sum_pmf(summands: int, n_values: int) -> Pmf:
     """Exact PMF of a sum of ``summands`` i.i.d. uniforms on [n_values],
-    by iterated convolution with a sliding-window accumulator
-    (cost O(summands * support))."""
+    by iterated convolution with window sums taken from prefix sums over
+    the first half of the support and mirrored (cost O(summands *
+    support / 2) big-integer additions)."""
     if summands < 1 or n_values < 1:
         raise ValueError("summands and n_values must be positive")
     _guard(summands, n_values)
@@ -147,11 +165,17 @@ def peak_probability_margin(ell: int, n_values: int, c: float) -> float:
     max_t Pr[sum = t] * e**(4c) * n_values / 5.
 
     A value <= 1 certifies the peak bound 5 / (e**(4c) * n_values) at
-    these concrete parameters.
+    these concrete parameters.  Raises ValueError when c is not finite or
+    e**(4c) overflows a float.
     """
-    pmf = sum_pmf(2 * ell, n_values)
-    _, peak = pmf.max_point()
-    return float(peak) * n_values * exp(4.0 * c) / 5.0
+    if not isfinite(c):
+        raise ValueError(f"margin constant C must be finite, got {c}")
+    try:
+        scale = exp(4.0 * c)
+    except OverflowError:
+        raise ValueError(f"margin at C={c} overflows a float") from None
+    _, peak = sum_pmf(2 * ell, n_values).max_point()
+    return float(peak) * n_values * scale / 5.0
 
 
 def window_probability(summands: int, n_values: int, lo: int, hi: int) -> Fraction:

@@ -431,3 +431,37 @@ def tree_labeler_oracle(t: Graph) -> tuple[int, ...]:
         adj[v] = {u}
 
     return tuple(values[v] for v in range(n))
+
+
+def _oracle_convolve_next(counts: list[int], n: int) -> list[int]:
+    """One more uniform summand: sliding-window sum of width n."""
+    m = len(counts)
+    out = [0] * (m + n - 1)
+    window = 0
+    for i in range(m + n - 1):
+        if i < m:
+            window += counts[i]
+        if i - n >= 0:
+            window -= counts[i - n]
+        out[i] = window
+    return out
+
+
+def sum_pmf_oracle(summands: int, n_values: int) -> tuple[int, ...]:
+    """Outcome counts of a sum of ``summands`` i.i.d. uniforms on [n_values]
+    by the earlier full-length sliding-window convolution, which neither
+    uses prefix sums nor relies on the symmetry of the result."""
+    counts = [1] * n_values
+    for _ in range(summands - 1):
+        counts = _oracle_convolve_next(counts, n_values)
+    return tuple(counts)
+
+
+def sum_pmf_family_oracle(n_values: int, max_summands: int):
+    """Counts for 1..max_summands summands by the same convolution, one
+    step per member."""
+    counts = [1] * n_values
+    yield tuple(counts)
+    for _ in range(2, max_summands + 1):
+        counts = _oracle_convolve_next(counts, n_values)
+        yield tuple(counts)

@@ -112,6 +112,22 @@ class TestExactS:
         lo, hi = err.value.bracket
         assert lo <= 7 <= hi  # the true optimum (7, by enumeration) stays inside
 
+    def test_bracket_ceiling_counts_covered_vertices_only(self):
+        # 2 of 200 vertices covered: the ceiling is 2**(2 - 1), not 2**199
+        h = Hypergraph(200, [(0,), (1,), (0, 1)])
+        with pytest.raises(BudgetExhausted) as err:
+            exact_s(h, node_budget=1)
+        assert err.value.bracket == (2, 2)
+        # with four covered vertices among nine the top is 2**3
+        h = Hypergraph(9, [(1, 4), (4, 6), (6, 8), (1, 6, 8)])
+        with pytest.raises(BudgetExhausted) as err:
+            exact_s(h, node_budget=1)
+        assert err.value.bracket[1] == 8
+
+    def test_edgeless_ceiling(self):
+        res = exact_s(Hypergraph(5, []))
+        assert res.optimum == 1 and res.witness.values == (1,) * 5
+
     def test_deterministic(self):
         h = complete_hypergraph(4)
         a, b = exact_s(h), exact_s(h)

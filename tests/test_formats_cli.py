@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import hashlib
 import json
 import re
 import time
@@ -191,6 +192,13 @@ class TestCli:
         code, out = self.run(capsys, "pmf", "2", "2", "--exact")
         assert json.loads(out)["probabilities"] == ["1/4", "1/2", "1/4"]
 
+    @pytest.mark.parametrize("margin", ["1000", "nan", "inf", "-inf"])
+    def test_pmf_margin_rejects_non_finite_and_overflow(self, capsys, margin):
+        code = main(["pmf", "2", "5", f"--margin={margin}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(r"error: margin .*(finite|overflows).*\n", captured.err)
+
     def test_verify_exit_codes(self, capsys, instances):
         code, out = self.run(capsys, "verify", str(instances / "full3.hg"),
                              "--labels", "1,2,4")
@@ -201,6 +209,13 @@ class TestCli:
         code, out = self.run(capsys, "verify", str(instances / "path3.g"),
                              "--labels", "1 1 2")
         assert code == 0 and json.loads(out)["verified"] is True
+
+    def test_verify_needs_labels(self, capsys, instances):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", str(instances / "full3.hg")])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert "verify needs --labels or --labels-file" in captured.err
 
     def test_verify_labels_file(self, capsys, instances, tmp_path):
         labels = tmp_path / "labels.json"
@@ -244,6 +259,15 @@ class TestCli:
         assert json.loads(out) == {"error": "BudgetExhausted",
                                    "message": "node budget exhausted while testing N=3",
                                    "bracket": [3, 4], "detail": {"nodes": 3}}
+
+    def test_budget_exhaustion_ceiling_counts_covered_vertices(self, capsys, tmp_path):
+        # 198 of the 200 vertices are uncovered; labels 1, 2 on the two covered
+        # ones already distinguish, so the bracket top is 2, not 2**199
+        path = tmp_path / "sparse.hg"
+        path.write_text("200 3\n1 0\n1 1\n2 0 1\n")
+        code, out = self.run(capsys, "solve", "s", str(path), "--budget", "1")
+        assert code == 1
+        assert json.loads(out)["bracket"] == [2, 2]
 
     def test_two_step_exhaustion_keeps_census(self, capsys, tmp_path):
         # label cap ceil(4/4) = 1 ties the special pair on every step-one draw
@@ -401,3 +425,58 @@ def test_solve_s_on_thousands_of_vertices(capsys, tmp_path, text):
     assert code == 0 and payload["optimum"] == 1
     assert payload["witness"] == [1] * int(text.split()[0])
     assert elapsed < 2.0
+
+
+# `pmf` stdout, recorded before the convolution computed half the support
+# and mirrored it.  The three long runs are compared by SHA-256 digest.
+GOLDEN_PMF_RUNS = [
+    (("pmf", "1", "1"),
+     '{"n_values": 1, "probabilities": [1.0], "summands": 1, "support": [1, 1]}\n'),
+    (("pmf", "3", "4", "--exact"),
+     '{"n_values": 4, "probabilities": ["1/64", "3/64", "3/32", "5/32", "3/16", "3/16", '
+     '"5/32", "3/32", "3/64", "1/64"], "summands": 3, "support": [3, 12]}\n'),
+    (("pmf", "2", "2", "--window", "2", "3", "--margin", "0"),
+     '{"margin": {"C": 0.0, "value": 0.15}, "n_values": 2, "probabilities": [0.25, 0.5, '
+     '0.25], "summands": 2, "support": [2, 4], "window": {"hi": 3, "lo": 2, "probability": '
+     '0.75}}\n'),
+    (("pmf", "5", "3", "--exact", "--window", "6", "9"),
+     '{"n_values": 3, "probabilities": ["1/243", "5/243", "5/81", "10/81", "5/27", "17/81", '
+     '"5/27", "10/81", "5/81", "5/243", "1/243"], "summands": 5, "support": [5, 15], '
+     '"window": {"hi": 9, "lo": 6, "probability": "95/243"}}\n'),
+    (("pmf", "7", "2", "--exact", "--window", "8", "10", "--margin", "1.5"),
+     '{"margin": {"C": 1.5, "value": 33.80292039226238}, "n_values": 2, "probabilities": '
+     '["1/128", "7/128", "21/128", "35/128", "35/128", "21/128", "7/128", "1/128"], '
+     '"summands": 7, "support": [7, 14], "window": {"hi": 10, "lo": 8, "probability": '
+     '"63/128"}}\n'),
+    (("pmf", "6", "5", "--margin", "0.75"),
+     '{"margin": {"C": 0.75, "value": 1.613418412317061}, "n_values": 5, "probabilities": '
+     '[6.4e-05, 0.000384, 0.001344, 0.003584, 0.008064, 0.015744, 0.027264, 0.042624, '
+     '0.060864, 0.079744, 0.096384, 0.107904, 0.112064, 0.107904, 0.096384, 0.079744, '
+     '0.060864, 0.042624, 0.027264, 0.015744, 0.008064, 0.003584, 0.001344, 0.000384, '
+     '6.4e-05], "summands": 6, "support": [6, 30]}\n'),
+    (("pmf", "2", "10", "--exact", "--window", "-3", "5"),
+     '{"n_values": 10, "probabilities": ["1/100", "1/50", "3/100", "1/25", "1/20", "3/50", '
+     '"7/100", "2/25", "9/100", "1/10", "9/100", "2/25", "7/100", "3/50", "1/20", "1/25", '
+     '"3/100", "1/50", "1/100"], "summands": 2, "support": [2, 20], "window": {"hi": 5, '
+     '"lo": -3, "probability": "1/10"}}\n'),
+    (("--format", "text", "pmf", "3", "2", "--exact", "--window", "4", "5", "--margin", "0.5"),
+     "margin: {'C': 0.5, 'value': 0.9236320123663313}\nn_values: 2\n"
+     "probabilities: ['1/8', '3/8', '3/8', '1/8']\nsummands: 3\nsupport: [3, 6]\n"
+     "window: {'lo': 4, 'hi': 5, 'probability': '3/4'}\n"),
+    (("pmf", "40", "13", "--exact", "--window", "200", "300", "--margin", "1"),
+     "sha256:d5bb763848309d959bedf99f216ad6535a650b7aa25f418a82acb4b68c248c04"),
+    (("pmf", "31", "8", "--window", "100", "150", "--margin", "0.5"),
+     "sha256:93cb80ef01ecd9754ea37830f5d6db89c4b7b3e167ab75f7f78a9277e8c34cc4"),
+    (("pmf", "100", "50", "--exact"),
+     "sha256:3d50cabaf01ba27cb4e24616c5bc00a0e08d817f66620fa9bfae1e9b1cc01434"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_PMF_RUNS,
+                         ids=[" ".join(run[0]) for run in GOLDEN_PMF_RUNS])
+def test_pmf_golden_stdout(capsys, argv, expected):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert out == expected

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from sumlabel import (TooLarge, binomial_tail_le_one, exact_collision_probability,
                       iter_sum_pmfs, merge_inequality_check, peak_probability_margin,
                       sum_pmf, window_probability)
+from sumlabel.uniform_sums import Pmf
+
+from helpers import sum_pmf_family_oracle, sum_pmf_oracle
 
 
 class TestSumPmf:
@@ -69,10 +72,58 @@ class TestSumPmf:
                 assert pmf.counts == direct.counts
 
 
+class TestAgainstSlidingWindowOracle:
+    """The half-support prefix-sum convolution against the full-length
+    sliding window it replaced: odd and even support lengths, n = 1 and
+    a single summand all occur below."""
+
+    def test_every_small_shape(self):
+        for n in range(1, 21):
+            for ell, expected in enumerate(sum_pmf_family_oracle(n, 40), start=1):
+                assert sum_pmf(ell, n).counts == expected, (ell, n)
+
+    def test_benchmark_shape(self):
+        assert sum_pmf(400, 50).counts == sum_pmf_oracle(400, 50)
+
+    def test_families(self):
+        for n in range(1, 61):
+            got = [pmf.counts for pmf in iter_sum_pmfs(n, 50)]
+            assert got == list(sum_pmf_family_oracle(n, 50)), n
+
+
+class TestPmfValidation:
+    # two summands on [3]: support length 5, total 9, true counts (1, 2, 3, 2, 1)
+    @pytest.mark.parametrize("counts,message", [
+        ((1, 2, 3, 2), "length does not match"),
+        ((2, -1, 7, -1, 2), "negative count"),
+        ((1, 2, 2, 2, 1), "do not total"),
+        ((1, 2, 3, 3, 0), "not symmetric"),
+        # only the pair ending at the middle cell decreases
+        ((1, 3, 1, 3, 1), "not unimodal"),
+    ], ids=["length", "negative", "total", "asymmetric", "non_unimodal"])
+    def test_rejects(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            Pmf(2, 3, counts)
+
+    def test_non_unimodal_even_length(self):
+        # three summands on [2]: length 4, total 8; the dip sits before the middle pair
+        with pytest.raises(ValueError, match="not unimodal"):
+            Pmf(3, 2, (3, 1, 1, 3))
+
+    def test_accepts_true_counts(self):
+        assert Pmf(2, 3, (1, 2, 3, 2, 1)).denominator == 9
+        assert Pmf(3, 2, (1, 3, 3, 1)).max_point() == (4, Fraction(3, 8))
+
+
 class TestPeakMargin:
     def test_small_margin_at_zero_constant(self):
         # e**0 = 1, so the margin is peak * N / 5 <= 1/5
         assert peak_probability_margin(3, 7, 0.0) <= 0.2
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf"), 1000.0])
+    def test_rejects_non_finite_and_overflowing_constants(self, c):
+        with pytest.raises(ValueError, match="finite|overflows"):
+            peak_probability_margin(1, 5, c)
 
     def test_peak_location_is_the_mean(self):
         for ell, n in [(2, 5), (5, 4), (10, 3)]:
