@@ -6,12 +6,20 @@ Output is JSON by default (--format text for key/value lines) and is
 byte-identical across reruns with the same inputs and seed; whenever
 --seed is omitted the fixed default seed is used and echoed in the
 output.  Exit codes: 0 success, 1 infeasibility-type results (degenerate
-dual, exhausted budgets, failed verification), 2 usage or parse errors.
+dual, exhausted budgets, failed verification), 2 usage or parse errors,
+3 internal faults (an ``AssertionError`` or ``RecursionError``, reported
+as one ``internal error:`` line on stderr, without a traceback).
+
+:func:`main` turns the cyclic garbage collector off while one command
+runs and restores the caller's setting afterwards: every command builds
+acyclic data, which reference counting frees, so collector passes would
+only rescan the objects the command has just built.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +37,7 @@ DEFAULT_SEED = randomized.DEFAULT_SEED
 _USAGE_ERRORS = (ParseError, ValidationError, ShapeError, DimensionError, ValueError)
 _RESULT_ERRORS = (DualDegenerate, BudgetExhausted, EmptyNeighborhood, InfeasibleParams,
                   OracleTooLarge, ParamsOutOfRange, TooLarge)
+_INTERNAL_ERRORS = (AssertionError, RecursionError)
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:
@@ -278,6 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.labels is None and args.labels_file is None:
@@ -290,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except (*_USAGE_ERRORS, SumLabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     payload, code = result if isinstance(result, tuple) else (result, 0)
     if payload is not None:
         _emit(payload, args.format)

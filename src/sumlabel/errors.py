@@ -67,9 +67,20 @@ class ParseError(SumLabelError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class ValidationError(SumLabelError):
-    """Syntactically valid input that violates a semantic invariant."""
+class ValidationError(SumLabelError, ValueError):
+    """Syntactically valid input that violates a semantic invariant.
 
-    def __init__(self, message: str, line: int | None = None):
+    Parsers set ``line``.  :class:`~sumlabel.hypergraph.Hypergraph` sets
+    ``reason`` (the message without a position), ``edge`` (the index of
+    the offending edge, None for the vertex count) and, for a duplicate
+    edge, ``first`` (the index of its earlier copy), so that a parser can
+    report the fault by line number.
+    """
+
+    def __init__(self, message: str, line: int | None = None, *, reason: str | None = None,
+                 edge: int | None = None, first: int | None = None):
         self.line = line
+        self.reason = message if reason is None else reason
+        self.edge = edge
+        self.first = first
         super().__init__(message if line is None else f"line {line}: {message}")

@@ -288,12 +288,20 @@ def exact_s(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET,
     Practical only at desk scale (roughly n <= 12 or few edges).  When the
     node budget runs out, raises :class:`BudgetExhausted` carrying the
     bracket of N values still in play.
+
+    ``lower_bound`` must be a proven lower bound on s: the search starts
+    there and never tries a smaller N.  A bound above the 2**(c - 1)
+    ceiling, or one that the first labeling found beats, raises
+    ``ValueError``.
     """
     start = time.perf_counter()
     search = _Search(h, node_budget)
     # uncovered vertices take label 1, and powers of two on the c covered
     # vertices give distinct sums, so s <= 2**(c - 1)
     ceiling = 1 << max(len(search.order) - 1, 0)
+    if lower_bound > ceiling:
+        raise ValueError(f"lower_bound {lower_bound} is above the ceiling {ceiling} "
+                         f"that powers of two on the covered vertices reach")
     lo = max(lower_bound, _quick_lower_bound(h))
     nodes_per_bound: dict[int, int] = {}
     for bound in range(lo, ceiling + 1):
@@ -309,6 +317,10 @@ def exact_s(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET,
         nodes_per_bound[bound] = search.nodes - before
         if witness is not None:
             assert is_distinguishing(h, witness)
+            # with a proven start every N below it fails, so the witness reaches it
+            if witness.max_label < lo:
+                raise ValueError(f"lower_bound {lower_bound} is not a lower bound: a "
+                                 f"labeling with max label {witness.max_label} exists")
             return SolveResult(bound, witness, search.nodes, time.perf_counter() - start,
                                nodes_per_bound, search.symmetry_classes)
     raise AssertionError("unreachable: powers of two give a labeling at the ceiling")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,11 @@ class Hypergraph:
     Duplicate edges are rejected at construction: two equal edges can
     never receive distinct sums, so instances containing them have no
     distinguishing labeling at all.
+
+    This is the one place where a hypergraph's vertex count, empty
+    edges, vertex range and duplicate edges are checked.  A violation
+    raises :class:`ValidationError` (a ``ValueError``) that names the
+    first offending edge by its index.
     """
 
     vertex_count: int
@@ -33,22 +38,17 @@ class Hypergraph:
 
     def __init__(self, vertex_count: int, edges: Iterable[Iterable[int]]):
         if vertex_count < 1:
-            raise ValueError("hypergraph needs at least one vertex")
-        normalized = []
-        seen: set[frozenset[int]] = set()
-        for pos, raw in enumerate(edges):
-            edge = frozenset(raw)
-            if not edge:
-                raise ValueError(f"edge {pos} is empty")
-            for v in edge:
-                if not (0 <= v < vertex_count):
-                    raise ValueError(f"edge {pos}: vertex {v} out of range [0, {vertex_count})")
-            if edge in seen:
-                raise ValueError(f"duplicate edge {sorted(edge)} at position {pos}")
-            seen.add(edge)
-            normalized.append(edge)
+            raise ValidationError("hypergraph needs at least one vertex",
+                                  reason="need at least one vertex")
+        normalized = tuple(map(frozenset, edges))
+        # whole-tuple passes; the per-edge scan only runs to name the first fault
+        if normalized:
+            covered = set().union(*normalized)
+            if not (all(normalized) and min(covered) >= 0 and max(covered) < vertex_count
+                    and len(set(normalized)) == len(normalized)):
+                _raise_first_fault(vertex_count, normalized)
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", normalized)
 
     @property
     def edge_count(self) -> int:
@@ -57,11 +57,29 @@ class Hypergraph:
     @cached_property
     def incidence(self) -> tuple[frozenset[int], ...]:
         """For each vertex, the set of edge indices containing it."""
-        inc: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for i, e in enumerate(self.edges):
             for v in e:
-                inc[v].add(i)
-        return tuple(frozenset(s) for s in inc)
+                inc[v].append(i)
+        return tuple(map(frozenset, inc))
+
+
+def _raise_first_fault(vertex_count: int, edges: tuple[frozenset[int], ...]) -> None:
+    """Raise :class:`ValidationError` for the first edge, in order, that is
+    empty, holds a vertex outside [0, vertex_count) or repeats an earlier
+    edge."""
+    first: dict[frozenset[int], int] = {}
+    for pos, edge in enumerate(edges):
+        if not edge:
+            raise ValidationError(f"edge {pos} is empty", reason="empty edge", edge=pos)
+        for v in edge:
+            if not 0 <= v < vertex_count:
+                reason = f"vertex {v} out of range [0, {vertex_count})"
+                raise ValidationError(f"edge {pos}: {reason}", reason=reason, edge=pos)
+        if edge in first:
+            raise ValidationError(f"duplicate edge {sorted(edge)} at position {pos}",
+                                  reason="duplicate edge", edge=pos, first=first[edge])
+        first[edge] = pos
 
 
 @dataclass(frozen=True)

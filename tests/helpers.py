@@ -12,8 +12,8 @@ from itertools import combinations, product
 from math import ceil, comb, exp
 from random import Random
 
-from sumlabel import (BudgetExhausted, Graph, Hypergraph, Labeling, OracleTooLarge,
-                      is_distinguishing)
+from sumlabel import (BudgetExhausted, Graph, Hypergraph, Labeling, OracleTooLarge, ParseError,
+                      ValidationError, is_distinguishing)
 
 
 # Instance files for the two-step labeler.  With small K and C, "c", "e"
@@ -465,3 +465,56 @@ def sum_pmf_family_oracle(n_values: int, max_summands: int):
     for _ in range(2, max_summands + 1):
         counts = _oracle_convolve_next(counts, n_values)
         yield tuple(counts)
+
+
+def _oracle_int_fields(line: str, lineno: int) -> list[int]:
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError as exc:
+        raise ParseError(f"non-integer token in {line!r}", lineno) from exc
+
+
+def _oracle_data_lines(text: str) -> list[tuple[int, str]]:
+    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def parse_hypergraph_oracle(text: str) -> tuple[int, tuple[frozenset[int], ...]]:
+    """``(vertex_count, edges)`` of a ".hg" text by the earlier line-by-line
+    parser, which runs every format and semantic check itself, line by
+    line, and builds no ``Hypergraph``.  Reference for the columnar
+    ``formats.parse_hypergraph``: same result, or the same exception class
+    and message."""
+    lines = _oracle_data_lines(text)
+    if not lines:
+        raise ParseError("empty input")
+    lineno, header = lines[0]
+    head = _oracle_int_fields(header, lineno)
+    if len(head) != 2:
+        raise ParseError("header must be 'n m'", lineno)
+    n, m = head
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", lineno)
+    if n < 1:
+        raise ValidationError("need at least one vertex", lineno)
+    edges: list[frozenset[int]] = []
+    seen: dict[frozenset[int], int] = {}
+    for lineno, line in lines[1:]:
+        fields = _oracle_int_fields(line, lineno)
+        if not fields:
+            raise ParseError("empty edge line", lineno)
+        k, vertices = fields[0], fields[1:]
+        if k != len(vertices):
+            raise ParseError(f"edge declares {k} vertices but lists {len(vertices)}", lineno)
+        edge = frozenset(vertices)
+        if not edge:
+            raise ValidationError("empty edge", lineno)
+        if len(edge) != len(vertices):
+            raise ValidationError("repeated vertex inside an edge", lineno)
+        for v in edge:
+            if not 0 <= v < n:
+                raise ValidationError(f"vertex {v} out of range [0, {n})", lineno)
+        if edge in seen:
+            raise ValidationError(f"duplicate edge (first seen on line {seen[edge]})", lineno)
+        seen[edge] = lineno
+        edges.append(edge)
+    return n, tuple(edges)

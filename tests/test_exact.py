@@ -128,6 +128,27 @@ class TestExactS:
         res = exact_s(Hypergraph(5, []))
         assert res.optimum == 1 and res.witness.values == (1,) * 5
 
+    def test_lower_bound_above_ceiling_rejected(self):
+        h = Hypergraph(3, [(0,), (1,), (0, 1, 2)])  # s = 2, ceiling 2**(3 - 1)
+        with pytest.raises(ValueError, match="above the ceiling 4"):
+            exact_s(h, lower_bound=100)
+        with pytest.raises(ValueError, match="above the ceiling"):
+            exact_s(h, lower_bound=5)
+
+    def test_lower_bound_beaten_by_the_witness_rejected(self):
+        h = Hypergraph(3, [(0,), (1,), (0, 1, 2)])
+        for bound in (3, 4):
+            with pytest.raises(ValueError, match="not a lower bound: .* max label 2"):
+                exact_s(h, lower_bound=bound)
+
+    def test_proven_lower_bound_gives_the_same_answer(self):
+        h = Hypergraph(3, [(0,), (1,), (0, 1, 2)])
+        plain = exact_s(h)
+        assert plain.optimum == 2
+        for bound in (1, 2):
+            res = exact_s(h, lower_bound=bound)
+            assert res.optimum == 2 and res.witness == plain.witness
+
     def test_deterministic(self):
         h = complete_hypergraph(4)
         a, b = exact_s(h), exact_s(h)

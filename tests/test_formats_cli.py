@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import gc
 import hashlib
 import json
 import re
@@ -7,17 +8,17 @@ import time
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sumlabel import Hypergraph, ParseError, ValidationError
+from sumlabel import Hypergraph, ParseError, ValidationError, constructive, exact
 from sumlabel.cli import main
 from sumlabel.formats import (labeling_payload, parse_graph, parse_hypergraph,
                               serialize_graph, serialize_hypergraph)
 from sumlabel.hypergraph import Labeling
 
 from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
-                     graph_as_hypergraph, path_graph, random_graph, random_hypergraph,
-                     random_tree, star_graph)
+                     graph_as_hypergraph, parse_hypergraph_oracle, path_graph, random_graph,
+                     random_hypergraph, random_tree, star_graph)
 
 
 class TestHypergraphFormat:
@@ -67,6 +68,124 @@ class TestHypergraphFormat:
         h = Hypergraph(n, edges)
         again = parse_hypergraph(serialize_hypergraph(h))
         assert again.vertex_count == n and again.edges == h.edges
+
+
+def _parsed(text: str):
+    """(vertex_count, edges) of ``parse_hypergraph``, or its error."""
+    try:
+        h = parse_hypergraph(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), exc.line
+    return h.vertex_count, h.edges
+
+
+def _oracle_parsed(text: str):
+    try:
+        return parse_hypergraph_oracle(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), exc.line
+
+
+# one faulty edge line each, on 4 vertices, after a first edge line "1 0"
+EDGE_FAULTS = {
+    "non_integer": "1 x",
+    "declared_k": "2 1",
+    "empty_edge": "0",
+    "repeated_vertex": "2 1 1",
+    "out_of_range": "1 7",
+    "negative": "1 -1",
+    "duplicate": "1 0",
+}
+
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c")
+BAD_TOKENS = ("x", "1.5", "0x1", "--1", "1e3", "+-2")
+
+
+@st.composite
+def _int_token(draw, value: int) -> str:
+    """``value`` as a token int() accepts: plain, with a + sign or with
+    leading zeros; rarely a token that is no integer at all."""
+    style = draw(st.sampled_from(["plain"] * 30 + ["plus", "zeros", "bad"]))
+    if style == "bad":
+        return draw(st.sampled_from(BAD_TOKENS))
+    if style == "plus" and value >= 0:
+        return f"+{value}"
+    if style == "zeros" and value >= 0:
+        return f"00{value}"
+    return str(value)
+
+
+@st.composite
+def hg_texts(draw) -> str:
+    """".hg" texts near the format: mostly valid, with blank and
+    whitespace-only lines, mixed line breaks and separators, signs, and
+    every fault the parser reports, often several in one file."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -1]))
+    vertex = st.sampled_from(list(range(max(n, 1))) * 4 + [-1, max(n, 1)] * 2)
+    unique = draw(st.sampled_from([True, True, False]))
+    edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=4, unique=unique), max_size=6))
+    if edges and draw(st.booleans()):  # a copy of an earlier edge
+        copy = draw(st.permutations(draw(st.sampled_from(edges))))
+        edges.insert(draw(st.integers(0, len(edges))), copy)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        edges.insert(draw(st.integers(0, len(edges))), [])
+    m = len(edges) + draw(st.sampled_from([0] * 10 + [-1, 1]))
+    header = [n, m] + draw(st.sampled_from([[]] * 20 + [[1]]))
+    if draw(st.sampled_from([False] * 29 + [True])):
+        header = header[:1]
+    rows = [header]
+    for vs in edges:
+        rows.append([len(vs) + draw(st.sampled_from([0] * 10 + [-1, 1])), *vs])
+    lines = []
+    for row in rows:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        tokens = [draw(_int_token(v)) for v in row]
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        lines.append(pad + sep.join(tokens) + pad)
+    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+
+
+class TestParserAgainstOracle:
+    """The columnar parser returns what the line-by-line parser returned,
+    or raises the same exception class with the same message and line."""
+
+    @settings(max_examples=400)
+    @given(hg_texts())
+    def test_same_result_or_error(self, text):
+        assert _parsed(text) == _oracle_parsed(text)
+
+    @pytest.mark.parametrize("first", sorted(EDGE_FAULTS))
+    @pytest.mark.parametrize("second", sorted(EDGE_FAULTS))
+    def test_two_faulty_lines_report_the_first(self, first, second):
+        text = f"4 4\n1 0\n{EDGE_FAULTS[first]}\n2 2 3\n{EDGE_FAULTS[second]}\n"
+        expected = _oracle_parsed(text)
+        assert expected[2] == 3
+        assert _parsed(text) == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty input"),
+        (" \n\t\r\n", "empty input"),
+        ("4 x\n1 x\n", "line 1: non-integer token in '4 x'"),
+        ("4\n1 x\n", "line 1: header must be 'n m'"),
+        ("4 2 1\n1 0\n1 1\n", "line 1: header must be 'n m'"),
+        ("4 3\n1 x\n0\n", "line 1: expected 3 edge lines, found 2"),
+        ("0 2\n1 x\n0\n", "line 1: need at least one vertex"),
+        ("-3 1\n2 1 1\n", "line 1: need at least one vertex"),
+        ("4 2\n\n1 +3\n\x0b 2 -0 00\n", "line 5: repeated vertex inside an edge"),
+        ("4 2\r\n1 3\x0c\x0c1 0x3\n", "line 4: non-integer token in '1 0x3'"),
+        ("4 2\x1c1 3\n 1\t03 \n", "line 3: duplicate edge (first seen on line 2)"),
+        ("4 1\n3 -1 1 0\n", "line 2: vertex -1 out of range [0, 4)"),
+    ])
+    def test_fault_messages(self, text, message):
+        got = _parsed(text)
+        assert got == _oracle_parsed(text)
+        assert got[1] == message
+
+    def test_valid_file_with_odd_separators(self):
+        text = "\n 3\t+2 \r\n\n2 0 +2\x1c\x0b 1 001\x0c"
+        assert _parsed(text) == _oracle_parsed(text) == (3, (frozenset({0, 2}), frozenset({1})))
 
 
 class TestGraphFormat:
@@ -280,6 +399,74 @@ class TestCli:
             "message": "two-step labeler exhausted budgets (step1=1000, step2=0)",
             "detail": {"collision_census": {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0},
                        "step1_attempts": 1000, "step2_attempts": 0}}
+
+
+def _raise(fault):
+    def broken(*args, **kwargs):
+        raise fault
+    return broken
+
+
+@pytest.mark.parametrize("fault", [AssertionError("unreachable: powers of two"),
+                                   RecursionError("maximum recursion depth exceeded")],
+                         ids=["assertion", "recursion"])
+def test_internal_fault_exit_three(capsys, monkeypatch, instances, fault):
+    monkeypatch.setattr(exact, "exact_s", _raise(fault))
+    code = main(["solve", "s", str(instances / "full3.hg")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"internal error: {fault!r}\n"
+
+
+# argv and the exit code it gives; exit 3 comes from a patched library call
+GC_RUNS = {
+    0: ("bounds", "path3.g"),
+    1: ("solve", "s", "full3.hg", "--budget", "2"),
+    2: ("solve", "s", "missing.hg"),
+    3: ("bounds", "path3.g"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("code", sorted(GC_RUNS))
+def test_gc_setting_restored(capsys, monkeypatch, instances, enabled, code):
+    if code == 3:
+        monkeypatch.setattr(constructive, "s_star_bounds", _raise(AssertionError("boom")))
+    command, *rest = GC_RUNS[code]
+    argv = [command] + [str(instances / a) if "." in a else a for a in rest]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["verify", str(instances / "full3.hg")])  # argparse exits 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_no_cyclic_garbage_grows_with_the_instance(capsys, tmp_path):
+    """The collector stays off during a command, which is safe only while
+    commands build acyclic data: what ``gc.collect`` finds afterwards
+    (argparse's own cycles) must not grow with the input."""
+    rng = Random(151)
+    garbage = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for m in (50, 2000):
+            path = tmp_path / f"m{m}.hg"
+            path.write_text(serialize_hypergraph(random_hypergraph(rng, 40, m, max_size=6)))
+            gc.collect()
+            assert main(["label", "quadratic", str(path)]) == 0
+            garbage.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert garbage[1] <= garbage[0]
 
 
 # `label two-step` stdout on fixed instances and seeds.  Labels, attempt

@@ -6,8 +6,9 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from sumlabel import (DimensionError, Graph, Hypergraph, Labeling, closed_sums, edge_sums,
-                      is_distinguishing, is_vertex_sum_distinguishing, power_of_two_labeling)
+from sumlabel import (DimensionError, Graph, Hypergraph, Labeling, ValidationError, closed_sums,
+                      edge_sums, is_distinguishing, is_vertex_sum_distinguishing,
+                      power_of_two_labeling)
 
 from helpers import complete_hypergraph, path_graph, random_hypergraph
 
@@ -28,6 +29,29 @@ class TestConstruction:
     def test_rejects_duplicate_edges(self):
         with pytest.raises(ValueError, match="duplicate"):
             Hypergraph(3, [{0, 1}, {1, 0}])
+
+    @pytest.mark.parametrize("edges,edge,first,reason", [
+        ([{0}, set(), {1}], 1, None, "empty edge"),
+        ([{0}, {1, 4}, {0}], 1, None, "vertex 4 out of range [0, 3)"),
+        ([{0}, {1, -2}], 1, None, "vertex -2 out of range [0, 3)"),
+        ([{0, 1}, {2}, (1, 0), {2}], 2, 0, "duplicate edge"),
+    ])
+    def test_validation_error_names_the_first_faulty_edge(self, edges, edge, first, reason):
+        with pytest.raises(ValidationError) as err:
+            Hypergraph(3, edges)
+        assert isinstance(err.value, ValueError)
+        assert (err.value.edge, err.value.first, err.value.reason) == (edge, first, reason)
+        assert err.value.line is None
+
+    def test_messages_name_the_edge_position(self):
+        with pytest.raises(ValidationError, match=r"^edge 1 is empty$"):
+            Hypergraph(2, [{0}, ()])
+        with pytest.raises(ValidationError, match=r"^edge 0: vertex 5 out of range \[0, 2\)$"):
+            Hypergraph(2, [{0, 5}])
+        with pytest.raises(ValidationError, match=r"^duplicate edge \[0, 1\] at position 1$"):
+            Hypergraph(2, [{0, 1}, (1, 0)])
+        with pytest.raises(ValidationError, match="^hypergraph needs at least one vertex$"):
+            Hypergraph(0, [])
 
     def test_graph_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):
@@ -135,6 +159,15 @@ class TestPowersOfTwo:
 def test_incidence_sets():
     h = Hypergraph(3, [{0, 1}, {1, 2}])
     assert h.incidence == (frozenset({0}), frozenset({0, 1}), frozenset({1}))
+
+
+def test_incidence_matches_membership():
+    rng = Random(149)
+    for _ in range(50):
+        n = rng.randint(1, 9)
+        h = random_hypergraph(rng, n, rng.randint(0, min(12, 2**n - 1)))
+        assert h.incidence == tuple(
+            frozenset(i for i, e in enumerate(h.edges) if v in e) for v in range(n))
 
 
 def test_full_triple_edge_order_is_size_then_lex():
