@@ -17,9 +17,9 @@ from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
 from .hypergraph import (Graph, Hypergraph, Labeling, closed_sums, edge_sums,
                          is_distinguishing, is_vertex_sum_distinguishing,
                          power_of_two_labeling)
-from .randomized import (PairClassification, PairData, QuadraticResult, TwoStepConfig,
-                         TwoStepResult, classify_pairs, quadratic_random_labeling,
-                         step_one, step_one_successful, two_step_labeling)
+from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, TwoStepResult,
+                         classify_edges, quadratic_random_labeling, step_one,
+                         step_one_successful, two_step_labeling)
 from .transforms import (closed_neighborhood_groups, closed_neighborhood_hypergraph, dual,
                          injective_reduction, open_neighborhood_hypergraph, split_embed)
 from .uniform_sums import (MergeChecks, Pmf, binomial_tail_le_one, exact_collision_probability,
@@ -32,10 +32,10 @@ __all__ = [
     "BudgetExhausted", "DegreeBoundsReport", "DimensionError", "DualDegenerate",
     "EmptyNeighborhood", "ExperimentConfig", "ExperimentReport", "GeneratedInstance",
     "Graph", "Hypergraph", "InfeasibleParams", "Labeling", "LeafStat", "LowerBoundParams",
-    "MergeChecks", "OracleTooLarge", "PairClassification", "PairData", "ParamsOutOfRange",
+    "MergeChecks", "OracleTooLarge", "PairClassification", "ParamsOutOfRange",
     "ParseError", "Pmf", "QuadraticResult", "RepairResult", "ShapeError", "SolveResult",
     "SumLabelError", "TooLarge", "TwoStepConfig", "TwoStepResult", "ValidationError",
-    "binomial_tail_le_one", "classify_pairs", "closed_neighborhood_groups",
+    "binomial_tail_le_one", "classify_edges", "closed_neighborhood_groups",
     "closed_neighborhood_hypergraph", "closed_sums", "decide_labeling", "dual",
     "edge_sums", "exact_collision_probability", "exact_irr", "exact_s", "exact_s_star",
     "gen_runiform", "injective_reduction", "is_distinguishing",

@@ -180,7 +180,7 @@ def _cmd_pmf(args) -> dict[str, Any]:
 def _cmd_experiment(args) -> dict[str, Any]:
     try:
         raw = json.loads(_read(args.config))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON config: {exc}") from exc
     try:
         config = generators.ExperimentConfig.from_mapping(raw)
@@ -193,8 +193,14 @@ def _cmd_experiment(args) -> dict[str, Any]:
 def _parse_labels(args) -> Labeling:
     if args.labels is not None:
         return Labeling(int(tok) for tok in args.labels.replace(",", " ").split())
-    data = json.loads(_read(args.labels_file))
-    return Labeling(data["labels"] if isinstance(data, dict) else data)
+    try:
+        data = json.loads(_read(args.labels_file))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ParseError(f"invalid JSON labels file: {exc}") from exc
+    values = data.get("labels") if isinstance(data, dict) else data
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ParseError("labels file must hold a list of integers or {\"labels\": [...]}")
+    return Labeling(values)
 
 
 def _cmd_verify(args) -> tuple[dict[str, Any], int]:

@@ -149,11 +149,19 @@ def sum_class_histogram(vertex_count: int, uniformity: int, f: Labeling) -> dict
 
 _KINDS = ("complete", "runiform", "lowerbound")
 _MEASURES = ("exact_s", "quadratic", "two_step", "shape")
+_INT_FIELDS = ("n_vertices", "uniformity", "edge_count", "node_budget")
+_REAL_FIELDS = ("edge_probability", "eps", "delta", "label_divisor")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of a seeded experiment batch."""
+    """Declarative description of a seeded experiment batch.
+
+    Integer fields (``seeds`` and ``sizes`` element-wise) must be ``int``
+    and real fields ``int`` or ``float``, never ``bool``; ``node_budget``
+    may be None for an unbounded search.  A wrong type is a ValueError
+    naming the field.
+    """
 
     kind: str
     measure: str
@@ -165,10 +173,22 @@ class ExperimentConfig:
     edge_count: int = 0
     eps: float = 0.5
     delta: float = 0.1
-    node_budget: int = DEFAULT_NODE_BUDGET
+    node_budget: int | None = DEFAULT_NODE_BUDGET
     label_divisor: float = 4.0
 
     def __post_init__(self):
+        # exact type tests: bool, JSON's true/false, is a subclass of int
+        for name in ("seeds", "sizes"):
+            values = getattr(self, name)
+            if not isinstance(values, tuple) or not all(type(v) is int for v in values):
+                raise ValueError(f"{name} must be a list of integers")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (type(value) is int or (name == "node_budget" and value is None)):
+                raise ValueError(f"{name} must be an integer")
+        for name in _REAL_FIELDS:
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.measure not in _MEASURES:
@@ -180,7 +200,7 @@ class ExperimentConfig:
     def from_mapping(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
         kwargs = dict(data)
         for key in ("seeds", "sizes"):
-            if key in kwargs:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 

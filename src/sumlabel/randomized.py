@@ -33,7 +33,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import ceil, exp
 
@@ -76,31 +75,6 @@ class TwoStepConfig:
 
 
 @dataclass(frozen=True)
-class PairData:
-    """Symmetric-difference decomposition of one unordered edge pair.
-
-    ``only_first`` / ``only_second`` are e \\ e' and e' \\ e; the popular_*
-    and stray_* fields split them by membership in the popular vertex
-    set.
-    """
-
-    only_first: frozenset[int]
-    only_second: frozenset[int]
-    popular_first: frozenset[int]
-    popular_second: frozenset[int]
-    stray_first: frozenset[int]
-    stray_second: frozenset[int]
-    dangerous: bool
-    special: bool
-    newly_dangerous: bool
-    special_class: int | None
-
-    @property
-    def difference_size(self) -> int:
-        return len(self.only_first) + len(self.only_second)
-
-
-@dataclass(frozen=True)
 class PairClassification:
     """Popular set and the per-edge quantities that classify every pair.
 
@@ -109,11 +83,9 @@ class PairClassification:
     share a stray part (groups of two or more, in edge order), so the
     special pairs are exactly the pairs inside a group;
     ``newly_dangerous`` lists the newly dangerous pairs as index pairs
-    (i, j) with i < j.  ``pairs`` builds one :class:`PairData` per pair
-    on first access, for inspection only.
+    (i, j) with i < j.
     """
 
-    edge_count: int
     dangerous_cutoff: int
     stray_limit: int
     popular: frozenset[int]
@@ -133,20 +105,6 @@ class PairClassification:
         special = self.stray[i] == self.stray[j]
         newly = not dangerous and _newly_dangerous(self.stray[i], self.stray[j], self.stray_limit)
         return dangerous, special, newly
-
-    @cached_property
-    def pairs(self) -> dict[tuple[int, int], PairData]:
-        """One :class:`PairData` per unordered pair, keyed (i, j) with i < j."""
-        edges, popular = self.edges, self.popular
-        class_ids: dict[frozenset[frozenset[int]], int] = {}
-        pairs: dict[tuple[int, int], PairData] = {}
-        for i, j in combinations(range(self.edge_count), 2):
-            a, b = edges[i] - edges[j], edges[j] - edges[i]
-            dangerous, special, newly = self.pair_flags(i, j)
-            cls_id = class_ids.setdefault(frozenset({a, b}), len(class_ids)) if special else None
-            pairs[(i, j)] = PairData(a, b, a & popular, b & popular, a - popular, b - popular,
-                                     dangerous, special, newly, cls_id)
-        return pairs
 
 
 def _newly_dangerous(stray_i: frozenset[int], stray_j: frozenset[int], stray_limit: int) -> bool:
@@ -174,9 +132,25 @@ def _non_dangerous_pairs(edges: tuple[frozenset[int], ...], cutoff: int):
                 yield min(i, j), max(i, j), diff
 
 
-def _classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> PairClassification:
-    """Build the per-edge classification in O(n + m) memory plus the newly
-    dangerous pairs; see :func:`classify_pairs` for the definitions."""
+def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> PairClassification:
+    """Classify every unordered pair of hyperedges through per-edge quantities.
+
+    A pair is dangerous when its symmetric difference has at most
+    ``dangerous_cutoff`` vertices; a vertex is popular when it lies in
+    the symmetric difference of at least m**2 / dangerous_cutoff**3
+    dangerous pairs (compared exactly); a pair is special when its whole
+    symmetric difference is popular; a non-dangerous, non-special pair
+    is newly dangerous when at most ``stray_limit`` of its
+    symmetric-difference vertices are non-popular.
+
+    With P(e) the sum of the popular labels in e and stray(e) = e minus
+    the popular set, the skew of (e, e') is P(e) - P(e') and the pair is
+    special exactly when stray(e) == stray(e').  The result therefore
+    holds per-edge quantities only, in O(n + m) memory plus the newly
+    dangerous pairs.
+    """
+    if not dangerous_cutoff > stray_limit:
+        raise ValueError("need dangerous_cutoff > stray_limit")
     edges = h.edges
     m = len(edges)
     n = h.vertex_count
@@ -207,7 +181,7 @@ def _classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> P
     newly = tuple((i, j) for i, j, _ in _non_dangerous_pairs(edges, dangerous_cutoff)
                   if _newly_dangerous(stray[i], stray[j], stray_limit))
     return PairClassification(
-        m, dangerous_cutoff, stray_limit, popular, edges,
+        dangerous_cutoff, stray_limit, popular, edges,
         popular_parts=tuple(tuple(e & popular) for e in edges),
         stray=stray,
         special_groups=tuple(tuple(g) for g in groups.values() if len(g) > 1),
@@ -215,44 +189,10 @@ def _classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> P
     )
 
 
-def classify_pairs(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> PairClassification:
-    """Classify every unordered pair of hyperedges.
-
-    A pair is dangerous when its symmetric difference has at most
-    ``dangerous_cutoff`` vertices; a vertex is popular when it lies in
-    the symmetric difference of at least m**2 / dangerous_cutoff**3
-    dangerous pairs (compared exactly); a pair is special when its whole
-    symmetric difference is popular; a non-dangerous, non-special pair
-    is newly dangerous when at most ``stray_limit`` of its
-    symmetric-difference vertices are non-popular.
-
-    With P(e) the sum of the popular labels in e and stray(e) = e minus
-    the popular set, the skew of (e, e') is P(e) - P(e') and the pair is
-    special exactly when stray(e) == stray(e').  The result therefore
-    holds per-edge quantities only; its ``pairs`` mapping is built on
-    first access, for inspection.
-    """
-    if not dangerous_cutoff > stray_limit:
-        raise ValueError("need dangerous_cutoff > stray_limit")
-    return _classify_edges(h, dangerous_cutoff, stray_limit)
-
-
-def pair_skew(data: PairData, partial: dict[int, int]) -> int:
-    """f(e,e') - f(e',e): the popular-side sum difference under a partial
-    assignment of the popular vertices."""
-    return sum(partial[v] for v in data.popular_first) - sum(
-        partial[v] for v in data.popular_second
-    )
-
-
-def pair_type(data: PairData, skew: int, stray_cap: int) -> str:
-    """One of the five pair types: (a) special, (b)/(c) newly dangerous with
-    popular-side skew above/at most stray_limit * N, (d) remaining
-    non-dangerous, (e) dangerous non-special."""
-    return _type_of(data.dangerous, data.special, data.newly_dangerous, skew, stray_cap)
-
-
 def _type_of(dangerous: bool, special: bool, newly: bool, skew: int, stray_cap: int) -> str:
+    """One of the five pair types: (a) special, (b)/(c) newly dangerous with
+    popular-side skew above/at most ``stray_cap``, (d) remaining
+    non-dangerous, (e) dangerous non-special."""
     if special:
         return "a"
     if newly:
@@ -276,6 +216,8 @@ def quadratic_random_labeling(h: Hypergraph, seed: int = DEFAULT_SEED,
     the budget is hit with probability below 2**-budget.  Instances with
     fewer than two edges have nothing to distinguish and get all-ones.
     """
+    if budget < 1:
+        raise ValueError("budget must be positive")
     m = h.edge_count
     if m <= 1:
         return QuadraticResult(Labeling.all_ones(h.vertex_count), 0)
@@ -398,7 +340,7 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     if m <= 1:
         return TwoStepResult(Labeling.all_ones(n), cfg.label_cap(m), 0, 0, 0, n)
 
-    cls = _classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
+    cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
     cap = cfg.label_cap(m)
     stray_cap = cfg.stray_limit * cap
     rng = random.Random(cfg.seed)

@@ -1,0 +1,87 @@
+"""In-process fuzzing of the CLI's JSON input boundaries.
+
+``verify --labels-file`` and ``experiment`` read JSON that the user
+writes by hand.  Whatever the file holds, :func:`main` must return 0, 1
+or 2 without letting an exception escape, and a usage error (exit 2)
+must print nothing on stdout and exactly one line on stderr.
+"""
+
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from sumlabel.cli import main
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=5), children, max_size=3)),
+    max_leaves=8,
+)
+# mostly near-valid labelings, so exits 0 and 1 are reached as well as 2
+LABELS = st.one_of(
+    JSON,
+    st.lists(st.integers(-1, 8), max_size=4),
+    st.fixed_dictionaries({"labels": st.lists(st.integers(1, 8), min_size=3, max_size=3)}),
+    st.fixed_dictionaries({"labels": JSON}),
+)
+
+# a small valid runiform / shape batch: two seeds, 15 candidate edges each
+BASE_CONFIG = {"kind": "runiform", "measure": "shape", "seeds": [1, 2], "n_vertices": 6,
+               "uniformity": 2, "edge_probability": 0.5}
+INT_LISTS = ("seeds", "sizes")
+INTS = ("n_vertices", "uniformity", "edge_count", "node_budget")
+REALS = ("edge_probability", "eps", "delta", "label_divisor")
+
+
+def right_type(field: str, value) -> bool:
+    if field in INT_LISTS:
+        return isinstance(value, list) and all(type(v) is int for v in value)
+    if field in INTS:
+        return type(value) is int or (field == "node_budget" and value is None)
+    return type(value) in (int, float)
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_exit(code: int, out: str, err: str) -> None:
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert err == ""
+        json.loads(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LABELS)
+def test_verify_labels_file(labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = Path(tmp) / "full3.hg"
+        instance.write_text("3 7\n1 0\n1 1\n1 2\n2 0 1\n2 0 2\n2 1 2\n3 0 1 2\n")
+        labels_file = Path(tmp) / "labels.json"
+        labels_file.write_text(json.dumps(labels))
+        check_exit(*run_cli(["verify", str(instance), "--labels-file", str(labels_file)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_experiment_field_of_wrong_type(data):
+    field = data.draw(st.sampled_from(INT_LISTS + INTS + REALS), label="field")
+    value = data.draw(JSON.filter(lambda v: not right_type(field, v)), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({**BASE_CONFIG, field: value}))
+        code, out, err = run_cli(["experiment", str(config)])
+    check_exit(code, out, err)
+    assert code == 2 and err.startswith(f"error: {field} must be ")

@@ -347,6 +347,52 @@ class TestCli:
                              "--labels-file", str(labels))
         assert code == 1 and json.loads(out)["verified"] is False
 
+    @pytest.mark.parametrize("text", ["{}", '{"labels": null}', "[[1]]", "5", "[1.5, 2, 3]",
+                                      "[true, 2, 3]", '{"labels": [1, 2.0, 4]}'])
+    def test_verify_rejects_malformed_labels_file(self, capsys, instances, tmp_path, text):
+        labels = tmp_path / "labels.json"
+        labels.write_text(text)
+        code = main(["verify", str(instances / "full3.hg"), "--labels-file", str(labels)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(r"error: labels file must hold a list of integers.*\n", captured.err)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sizes", [1.5]), ("sizes", ["3"]), ("n_vertices", "5"), ("node_budget", "7"),
+        ("edge_probability", "x"), ("eps", "0.5"), ("label_divisor", "a"), ("seeds", [{}]),
+        ("seeds", [1.5]), ("seeds", 5), ("seeds", [1, True]), ("sizes", [3.0]),
+        ("n_vertices", 5.0), ("uniformity", True), ("edge_count", None),
+        ("node_budget", False), ("eps", True), ("delta", None), ("label_divisor", [4])])
+    def test_experiment_rejects_wrong_field_type(self, capsys, tmp_path, field, value):
+        cfg = {"kind": "runiform", "measure": "shape", "seeds": [1], "n_vertices": 5,
+               field: value}
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps(cfg))
+        code = main(["experiment", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(rf"error: {field} must be .*\n", captured.err)
+
+    @pytest.mark.parametrize("command", ["verify", "experiment"])
+    def test_too_deeply_nested_json_exit_two(self, capsys, instances, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**5 + "]" * 10**5)
+        if command == "verify":
+            argv = ["verify", str(instances / "full3.hg"), "--labels-file", str(deep)]
+        else:
+            argv = ["experiment", str(deep)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(r"error: invalid JSON .*recursion.*\n", captured.err)
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_label_quadratic_rejects_budget_below_one(self, capsys, instances, budget):
+        code = main(["label", "quadratic", str(instances / "k2.hg"), f"--budget={budget}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: budget must be positive\n"
+
     def test_experiment(self, capsys, tmp_path):
         cfg = {"kind": "complete", "measure": "exact_s", "sizes": [2, 3]}
         cfg_file = tmp_path / "exp.json"

@@ -159,3 +159,10 @@ class TestExperiments:
             ExperimentConfig(kind="complete", measure="exact_s")
         cfg = ExperimentConfig(kind="complete", measure="exact_s", sizes=(3,))
         assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
+
+    def test_config_accepts_int_reals_and_unbounded_budget(self):
+        cfg = ExperimentConfig.from_mapping({
+            "kind": "runiform", "measure": "exact_s", "seeds": [1], "n_vertices": 4,
+            "edge_probability": 1, "eps": 0, "delta": 0, "label_divisor": 3,
+            "node_budget": None})
+        assert run_experiment(cfg).records[0]["s"] is not None

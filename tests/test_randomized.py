@@ -2,17 +2,18 @@
 
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from math import ceil, exp
 from random import Random
 
 import pytest
 
-from sumlabel import (BudgetExhausted, Hypergraph, TwoStepConfig, classify_pairs,
+from sumlabel import (BudgetExhausted, Hypergraph, TwoStepConfig, classify_edges,
                       exact_collision_probability, is_distinguishing,
                       quadratic_random_labeling, step_one, step_one_successful,
                       two_step_labeling)
-from sumlabel.randomized import PAIR_TYPES, pair_skew, pair_type
+from sumlabel.randomized import PAIR_TYPES
 
 from sumlabel.formats import parse_hypergraph
 
@@ -37,24 +38,42 @@ class TestConfig:
         assert TwoStepConfig(label_divisor=4.0).label_cap(10) == 25
 
 
-class TestClassifyPairs:
+def flag_class(flags: tuple[bool, bool, bool]) -> str:
+    """The pair_classes_oracle class of a (dangerous, special, newly) flag
+    triple: special wins over dangerous, and a newly dangerous pair is
+    neither dangerous nor special."""
+    dangerous, special, newly = flags
+    if newly:
+        assert not dangerous and not special
+        return "newly"
+    if special:
+        return "special"
+    return "dangerous" if dangerous else "other"
+
+
+class TestClassifyEdges:
     def test_two_singletons_are_special(self):
         h = Hypergraph(2, [{0}, {1}])
-        cls = classify_pairs(h, dangerous_cutoff=3, stray_limit=2)
-        data = cls.pairs[(0, 1)]
-        assert data.only_first == {0} and data.only_second == {1}
-        assert data.dangerous
+        cls = classify_edges(h, dangerous_cutoff=3, stray_limit=2)
         # threshold 4/27 < 1, so one dangerous pair makes both vertices popular
         assert cls.popular == {0, 1}
-        assert data.special and not data.newly_dangerous
-        assert data.special_class == 0
+        assert cls.pair_flags(0, 1) == (True, True, False)
+        assert cls.special_groups == ((0, 1),) and cls.newly_dangerous == ()
+        assert pair_classes_oracle(h, 3, 2) == ({0, 1}, {(0, 1): "special"})
 
     def test_disjoint_large_edges_not_dangerous(self):
         k = 3
         h = Hypergraph(2 * (k + 1), [frozenset(range(k + 1)),
                                      frozenset(range(k + 1, 2 * (k + 1)))])
-        cls = classify_pairs(h, dangerous_cutoff=k, stray_limit=2)
-        assert not cls.pairs[(0, 1)].dangerous
+        cls = classify_edges(h, dangerous_cutoff=k, stray_limit=2)
+        assert cls.popular == frozenset()
+        assert cls.pair_flags(0, 1) == (False, False, False)
+        assert cls.special_groups == () and cls.newly_dangerous == ()
+        assert pair_classes_oracle(h, k, 2) == (set(), {(0, 1): "other"})
+
+    def test_cutoff_must_exceed_stray_limit(self):
+        with pytest.raises(ValueError):
+            classify_edges(Hypergraph(2, [{0}, {1}]), dangerous_cutoff=3, stray_limit=3)
 
     def test_popularity_bound_on_random_instances(self):
         rng = Random(59)
@@ -62,7 +81,7 @@ class TestClassifyPairs:
             n = rng.randint(2, 8)
             h = random_hypergraph(rng, n, rng.randint(1, min(8, 2**n - 1)))
             for cutoff, stray in ((3, 2), (6, 4)):
-                cls = classify_pairs(h, cutoff, stray)
+                cls = classify_edges(h, cutoff, stray)
                 assert len(cls.popular) <= cutoff**4
 
     def test_invariant_under_edge_permutation(self):
@@ -71,33 +90,36 @@ class TestClassifyPairs:
         perm = list(range(6))
         rng.shuffle(perm)
         h2 = Hypergraph(6, [h.edges[i] for i in perm])
-        a = classify_pairs(h, 4, 2)
-        b = classify_pairs(h2, 4, 2)
-        assert a.popular == b.popular
-        flags_a = {frozenset((h.edges[i], h.edges[j])): (d.dangerous, d.special, d.newly_dangerous)
-                   for (i, j), d in a.pairs.items()}
-        flags_b = {frozenset((h2.edges[i], h2.edges[j])): (d.dangerous, d.special, d.newly_dangerous)
-                   for (i, j), d in b.pairs.items()}
-        assert flags_a == flags_b
+
+        def by_edges(g, cls):
+            flags = {frozenset((g.edges[i], g.edges[j])): cls.pair_flags(i, j)
+                     for i, j in combinations(range(g.edge_count), 2)}
+            groups = {frozenset(g.edges[i] for i in group) for group in cls.special_groups}
+            newly = {frozenset((g.edges[i], g.edges[j])) for i, j in cls.newly_dangerous}
+            return cls.popular, flags, groups, newly
+
+        a = by_edges(h, classify_edges(h, 4, 2))
+        b = by_edges(h2, classify_edges(h2, 4, 2))
+        assert a == b
+        popular, classes = pair_classes_oracle(h, 4, 2)
+        assert a[0] == popular
+        assert {key: flag_class(flags) for key, flags in a[1].items()} == {
+            frozenset((h.edges[i], h.edges[j])): kind for (i, j), kind in classes.items()}
 
     def test_every_pair_has_exactly_one_type(self):
         rng = Random(67)
         for _ in range(20):
             h = mixed_instance(rng, 10, 8, max_size=6)
-            cls = classify_pairs(h, 5, 3)
-            partial = {v: rng.randint(1, 9) for v in cls.popular}
-            for data in cls.pairs.values():
-                t = pair_type(data, pair_skew(data, partial), stray_cap=9)
-                assert t in PAIR_TYPES
-                flags = (data.special, data.newly_dangerous, data.dangerous)
-                if t == "a":
-                    assert flags[0]
-                elif t in ("b", "c"):
-                    assert flags[1] and not flags[0] and not flags[2]
-                elif t == "e":
-                    assert flags[2] and not flags[0]
-                else:
-                    assert not any(flags)
+            cls = classify_edges(h, 5, 3)
+            popular, classes = pair_classes_oracle(h, 5, 3)
+            assert cls.popular == popular
+            for (i, j), kind in classes.items():
+                assert flag_class(cls.pair_flags(i, j)) == kind
+            assert {pair for group in cls.special_groups for pair in combinations(group, 2)} == {
+                key for key, kind in classes.items() if kind == "special"}
+            assert len(set(cls.newly_dangerous)) == len(cls.newly_dangerous)
+            assert set(cls.newly_dangerous) == {key for key, kind in classes.items()
+                                                if kind == "newly"}
 
 
 class TestQuadratic:
@@ -106,6 +128,13 @@ class TestQuadratic:
         res = quadratic_random_labeling(h, seed=5)
         assert is_distinguishing(h, res.labeling)
         assert res.labeling.max_label <= 4
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        # checked before the shortcut for fewer than two edges
+        for h in (Hypergraph(2, [{0}, {1}]), Hypergraph(3, [{0, 1}])):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                quadratic_random_labeling(h, budget=budget)
 
     def test_single_edge_shortcut(self):
         h = Hypergraph(3, [{0, 1}])
@@ -134,7 +163,7 @@ class TestStepOne:
     def test_empty_popular_set(self):
         h = Hypergraph(12, [frozenset(range(6)), frozenset(range(6, 12))])
         cfg = TwoStepConfig(label_divisor=2.0, dangerous_cutoff=5, stray_limit=3)
-        cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+        cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         assert cls.popular == frozenset()
         assert step_one(h, cls, cfg, Random(1)) == {}
         # no special and no newly dangerous pairs: vacuously successful
@@ -145,7 +174,7 @@ class TestStepOne:
         rng = Random(79)
         h = mixed_instance(rng, 8, 8, max_size=5)
         cfg = TwoStepConfig(label_divisor=4.0)
-        cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+        cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         a = step_one(h, cls, cfg, Random(3))
         b = step_one(h, cls, cfg, Random(3))
         assert a == b
@@ -156,7 +185,7 @@ class TestStepOne:
     def test_special_pair_tie_fails(self):
         h = Hypergraph(2, [{0}, {1}])
         cfg = TwoStepConfig(label_divisor=3.5, dangerous_cutoff=6, stray_limit=4)
-        cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+        cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         ok, diag = step_one_successful(h, cls, cfg, {0: 1, 1: 1})
         assert not ok and diag.special_violations == [(0, 1)]
         ok, diag = step_one_successful(h, cls, cfg, {0: 1, 1: 2})
@@ -167,7 +196,7 @@ class TestStepOne:
         # -(f(1) + f(5)); the stray cap is 2 * ceil(16 / 1.5) = 22
         h = Hypergraph(6, [{0}, {1, 2, 3}, {2, 3, 5}, {0, 1, 2, 4, 5}])
         cfg = TwoStepConfig(label_divisor=1.5, dangerous_cutoff=3, stray_limit=2)
-        cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+        cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         assert cls.popular == {1, 5} and cls.newly_dangerous == ((0, 3),)
         _, diag = step_one_successful(h, cls, cfg, {1: 11, 5: 11})
         assert diag.near_tie_count == 1
@@ -177,7 +206,7 @@ class TestStepOne:
     def test_near_tie_allowance_arithmetic(self):
         h = random_hypergraph(Random(83), 10, 10, max_size=6)
         cfg = TwoStepConfig(label_divisor=4.0)
-        cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+        cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         _, diag = step_one_successful(h, cls, cfg, step_one(h, cls, cfg, Random(2)))
         assert diag.near_tie_allowance == pytest.approx(100 * exp(-16))
         # the allowance is below one, so any near tie at all must fail the check
@@ -260,7 +289,7 @@ class TestAgainstPairOracle:
         types = Counter()
         for rng, h, cfg in small_cutoff_configs(101, 60):
             m = h.edge_count
-            cls = classify_pairs(h, cfg.dangerous_cutoff, cfg.stray_limit)
+            cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
             popular, classes = pair_classes_oracle(h, cfg.dangerous_cutoff, cfg.stray_limit)
             assert cls.popular == popular
             kinds.update(classes.values())
@@ -279,11 +308,12 @@ class TestAgainstPairOracle:
                 assert diag.special_violations == violations
                 assert diag.near_tie_count == near_ties
                 assert ok == (not violations and near_ties <= allowance)
-                # a cap of 1 separates types b and c at these label sizes
-                for key, data in cls.pairs.items():
-                    t = pair_type(data, pair_skew(data, partial), stray_cap=1)
-                    assert t == census_type_oracle(classes[key], skews[key], stray_cap=1)
-                    types[t] += 1
+                popular_sums = cls.popular_sums(partial)
+                for (i, j), kind in classes.items():
+                    assert popular_sums[i] - popular_sums[j] == skews[(i, j)]
+                    assert flag_class(cls.pair_flags(i, j)) == kind
+                    # a cap of 1 separates types b and c at these label sizes
+                    types[census_type_oracle(kind, skews[(i, j)], stray_cap=1)] += 1
         assert set(kinds) == {"special", "dangerous", "newly", "other"}
         assert set(types) == set(PAIR_TYPES)
 
@@ -322,7 +352,7 @@ class TestPerEdgeScale:
         assert (trivial.popular_count, trivial.free_count) == (0, 3)
 
     def test_two_thousand_edges_in_linear_memory(self):
-        # one PairData per pair would need gigabytes at this size
+        # one object per edge pair would need gigabytes at this size
         rng = Random(109)
         n = m = 2000
         edges: set[frozenset[int]] = set()
