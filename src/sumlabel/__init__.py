@@ -8,8 +8,8 @@ tools, and seeded instance generators, with a CLI front end.
 from .constructive import (DegreeBoundsReport, LeafStat, RepairResult, leaf_stat,
                            repair_labeler, s_star_bounds, tree_labeler)
 from .errors import (BudgetExhausted, DimensionError, DualDegenerate, EmptyNeighborhood,
-                     InfeasibleParams, OracleTooLarge, ParamsOutOfRange, ParseError,
-                     ShapeError, SumLabelError, TooLarge, ValidationError)
+                     InfeasibleParams, ParamsOutOfRange, ParseError, ShapeError,
+                     SumLabelError, TooLarge, ValidationError)
 from .exact import SolveResult, decide_labeling, exact_irr, exact_s, exact_s_star
 from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
                          LowerBoundParams, gen_runiform, lower_bound_instance,
@@ -22,9 +22,9 @@ from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, Two
                          step_one_successful, two_step_labeling)
 from .transforms import (closed_neighborhood_groups, closed_neighborhood_hypergraph, dual,
                          injective_reduction, open_neighborhood_hypergraph, split_embed)
-from .uniform_sums import (MergeChecks, Pmf, binomial_tail_le_one, exact_collision_probability,
-                           iter_sum_pmfs, merge_inequality_check, peak_probability_margin,
-                           sum_pmf, window_probability)
+from .uniform_sums import (MergeChecks, Pmf, exact_collision_probability, iter_sum_pmfs,
+                           merge_inequality_check, peak_probability_margin, sum_pmf,
+                           window_probability)
 
 __version__ = "0.1.0"
 
@@ -32,11 +32,11 @@ __all__ = [
     "BudgetExhausted", "DegreeBoundsReport", "DimensionError", "DualDegenerate",
     "EmptyNeighborhood", "ExperimentConfig", "ExperimentReport", "GeneratedInstance",
     "Graph", "Hypergraph", "InfeasibleParams", "Labeling", "LeafStat", "LowerBoundParams",
-    "MergeChecks", "OracleTooLarge", "PairClassification", "ParamsOutOfRange",
-    "ParseError", "Pmf", "QuadraticResult", "RepairResult", "ShapeError", "SolveResult",
-    "SumLabelError", "TooLarge", "TwoStepConfig", "TwoStepResult", "ValidationError",
-    "binomial_tail_le_one", "classify_edges", "closed_neighborhood_groups",
-    "closed_neighborhood_hypergraph", "closed_sums", "decide_labeling", "dual",
+    "MergeChecks", "PairClassification", "ParamsOutOfRange", "ParseError", "Pmf",
+    "QuadraticResult", "RepairResult", "ShapeError", "SolveResult", "SumLabelError",
+    "TooLarge", "TwoStepConfig", "TwoStepResult", "ValidationError", "classify_edges",
+    "closed_neighborhood_groups", "closed_neighborhood_hypergraph", "closed_sums",
+    "decide_labeling", "dual",
     "edge_sums", "exact_collision_probability", "exact_irr", "exact_s", "exact_s_star",
     "gen_runiform", "injective_reduction", "is_distinguishing",
     "is_vertex_sum_distinguishing", "iter_sum_pmfs", "leaf_stat", "lower_bound_instance",

@@ -28,15 +28,15 @@ from typing import Any
 
 from . import constructive, exact, formats, generators, randomized, transforms, uniform_sums
 from .errors import (BudgetExhausted, DimensionError, DualDegenerate, EmptyNeighborhood,
-                     InfeasibleParams, OracleTooLarge, ParamsOutOfRange, ParseError,
-                     ShapeError, SumLabelError, TooLarge, ValidationError)
+                     InfeasibleParams, ParamsOutOfRange, ParseError, ShapeError,
+                     SumLabelError, TooLarge, ValidationError)
 from .hypergraph import Graph, Hypergraph, Labeling, is_distinguishing, is_vertex_sum_distinguishing
 
 DEFAULT_SEED = randomized.DEFAULT_SEED
 
 _USAGE_ERRORS = (ParseError, ValidationError, ShapeError, DimensionError, ValueError)
 _RESULT_ERRORS = (DualDegenerate, BudgetExhausted, EmptyNeighborhood, InfeasibleParams,
-                  OracleTooLarge, ParamsOutOfRange, TooLarge)
+                  ParamsOutOfRange, TooLarge)
 _INTERNAL_ERRORS = (AssertionError, RecursionError)
 
 

@@ -43,10 +43,6 @@ class BudgetExhausted(SumLabelError):
         super().__init__(message)
 
 
-class OracleTooLarge(SumLabelError):
-    """The brute-force enumeration oracle would exceed its size guard."""
-
-
 class TooLarge(SumLabelError):
     """Requested computation exceeds a memory/size guard."""
 
@@ -70,9 +66,9 @@ class ParseError(SumLabelError):
 class ValidationError(SumLabelError, ValueError):
     """Syntactically valid input that violates a semantic invariant.
 
-    Parsers set ``line``.  :class:`~sumlabel.hypergraph.Hypergraph` sets
-    ``reason`` (the message without a position), ``edge`` (the index of
-    the offending edge, None for the vertex count) and, for a duplicate
+    Parsers set ``line``.  The constructors of ``Hypergraph`` and ``Graph``
+    set ``reason`` (the message without a position), ``edge`` (the index
+    of the offending edge, None for the vertex count) and, for a duplicate
     edge, ``first`` (the index of its earlier copy), so that a parser can
     report the fault by line number.
     """

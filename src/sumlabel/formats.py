@@ -6,16 +6,15 @@ All tokens are whitespace-separated ASCII decimals; vertex indices are
 0-based.  Serialization is canonical (edges in stored order, vertices
 sorted within an edge), so parse(serialize(x)) == x.
 
-Where hypergraph files are validated: :func:`parse_hypergraph` checks
-only the format (header, number of edge lines, integer tokens, each
-line's declared k, repeated vertices inside an edge), in whole-list
-passes over one flat list of integers.  The semantic checks (vertex
-count, empty edge, vertex range, duplicate edge) run once, in the
-:class:`Hypergraph` constructor; the parser turns the edge index of the
-constructor's :class:`ValidationError` into a line number.  When a file
-has several faults, the one on the earliest line is reported, with the
-same message a line-by-line check would give.  Graph files are still
-checked line by line in :func:`parse_graph`.
+Both parsers read the text in whole-list passes over one flat list of
+integers (:func:`_read_rows`) and check only the format: header, number
+of edge lines, integer tokens, each line's token count, and a vertex
+repeated inside a hyperedge or a pair repeated in a graph file.  The
+semantic checks run once, in the constructor (:class:`Hypergraph`:
+vertex count, empty edge, vertex range, duplicate edge; :class:`Graph`:
+vertex count, self-loop, vertex range), and the parser turns the edge
+index of its :class:`ValidationError` into a line number.  Of several
+faults, the one on the earliest line is reported.
 """
 
 from __future__ import annotations
@@ -27,17 +26,6 @@ from typing import Any
 
 from .errors import ParseError, ValidationError
 from .hypergraph import Graph, Hypergraph, Labeling
-
-
-def _int_fields(line: str, lineno: int) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError as exc:
-        raise ParseError(f"non-integer token in {line!r}", lineno) from exc
-
-
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
 def _non_integer(text: str, lineno: int) -> ParseError:
@@ -56,7 +44,10 @@ def _leading_integers(tokens: list[str]) -> list[int]:
     return values
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
+def _read_rows(text: str):
+    """The reader both parsers share: ``(n, m, linenos, sizes, ends, values,
+    int_rows)``, after the checks of the header and of the number of edge
+    lines.  ``values`` holds the tokens up to the first non-integer one."""
     counts = list(map(len, map(str.split, text.splitlines())))
     linenos = list(compress(count(1), counts))  # line number of each data line
     sizes = list(filter(None, counts))  # token count of each data line
@@ -75,6 +66,26 @@ def parse_hypergraph(text: str) -> Hypergraph:
     n, m = values[0], values[1]
     if len(sizes) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(sizes) - 1}", linenos[0])
+    return n, m, linenos, sizes, ends, values, int_rows
+
+
+def _construct(build, n: int, edges: list, stop: int, linenos: list[int]):
+    """``build(n, edges[:stop])``, with the edge index of its
+    :class:`ValidationError` turned into a line number (the header's when
+    no edge is named; edge i sits on data line i + 1).  The first format
+    fault sits at edge ``stop``, so the constructor's faults, on earlier
+    lines, are reported before it."""
+    try:
+        return build(n, edges if stop == len(edges) else edges[:stop])
+    except ValidationError as exc:
+        reason = exc.reason
+        if exc.first is not None:
+            reason += f" (first seen on line {linenos[exc.first + 1]})"
+        raise ValidationError(reason, linenos[0 if exc.edge is None else exc.edge + 1]) from exc
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    n, m, linenos, sizes, ends, values, int_rows = _read_rows(text)
 
     # edge i sits on data line i + 1: its declared k at token ends[i], its
     # vertices after it up to ends[i + 1]
@@ -88,15 +99,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
                                         ends[1:bad_k + 1]))))
     repeated = next(compress(count(), map(ne, map(len, edges), ks)), bad_k)
 
-    # the first format fault sits at edge `repeated`, so semantic faults on
-    # earlier lines, which the constructor finds, are reported before it
-    try:
-        h = Hypergraph(n, edges if repeated == m else edges[:repeated])
-    except ValidationError as exc:
-        reason = exc.reason
-        if exc.first is not None:
-            reason += f" (first seen on line {linenos[exc.first + 1]})"
-        raise ValidationError(reason, linenos[0 if exc.edge is None else exc.edge + 1]) from exc
+    h = _construct(Hypergraph, n, edges, repeated, linenos)
     if repeated == m:
         return h
     lineno = linenos[repeated + 1]
@@ -117,34 +120,28 @@ def serialize_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty input")
-    lineno, header = lines[0]
-    head = _int_fields(header, lineno)
-    if len(head) != 2:
-        raise ParseError("header must be 'n m'", lineno)
-    n, m = head
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", lineno)
-    edges: list[tuple[int, int]] = []
+    n, m, linenos, sizes, _, values, int_rows = _read_rows(text)
+
+    # edge i sits on data line i + 1 and, while every earlier line has two
+    # tokens, at values[2 + 2i] and values[3 + 2i]
+    int_edges = int_rows - 1
+    bad_size = next(compress(count(), map(ne, sizes[1:int_rows], repeat(2))), int_edges)
+    flat = iter(values[2:2 + 2 * bad_size])
+    pairs = list(zip(flat, flat))
     seen: dict[tuple[int, int], int] = {}
-    for lineno, line in lines[1:]:
-        fields = _int_fields(line, lineno)
-        if len(fields) != 2:
-            raise ParseError("graph edge line must be 'u v'", lineno)
-        u, v = fields
-        if u == v:
-            raise ValidationError(f"self-loop at vertex {u}", lineno)
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise ValidationError(f"vertex {w} out of range [0, {n})", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValidationError(f"duplicate edge (first seen on line {seen[key]})", lineno)
-        seen[key] = lineno
-        edges.append(key)
-    return Graph(n, edges)
+    firsts = list(map(seen.setdefault, map(tuple, map(sorted, pairs)), count()))
+    repeated = next(compress(count(), map(ne, firsts, count())), bad_size)
+
+    g = _construct(Graph, n, pairs, repeated, linenos)
+    if repeated == m:
+        return g
+    lineno = linenos[repeated + 1]
+    if repeated < bad_size:
+        raise ValidationError(
+            f"duplicate edge (first seen on line {linenos[firsts[repeated] + 1]})", lineno)
+    if repeated < int_edges:
+        raise ParseError("graph edge line must be 'u v'", lineno)
+    raise _non_integer(text, lineno)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -16,7 +16,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, exp, factorial, floor, log, sqrt
+from math import comb, exp, factorial, floor, inf, log, sqrt
 from random import Random
 from typing import Any, Mapping
 
@@ -102,6 +102,8 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
     """
     if not 0.0 < eps < 1.0:
         raise InfeasibleParams("eps must lie strictly between 0 and 1")
+    if not 0.0 <= delta < inf:
+        raise InfeasibleParams("delta must be finite and non-negative")
     if not 1 <= n <= m:
         raise InfeasibleParams("need 1 <= n <= m")
     r = 2

@@ -84,20 +84,25 @@ def _raise_first_fault(vertex_count: int, edges: tuple[frozenset[int], ...]) -> 
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph; edges are unordered distinct pairs."""
+    """A simple undirected graph; edges are unordered distinct pairs, and a
+    pair listed twice is kept once.  Like :class:`Hypergraph`, the one
+    checker of its vertex count, self-loops and vertex range."""
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
-            raise ValueError("vertex count must be non-negative")
+            raise ValidationError("vertex count must be non-negative")
         normalized: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for pos, (u, v) in enumerate(edges):
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValidationError(f"self-loop at vertex {u}", edge=pos)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range [0, {vertex_count})")
+                w = v if 0 <= u < vertex_count else u
+                raise ValidationError(f"edge ({u},{v}) out of range [0, {vertex_count})",
+                                      reason=f"vertex {w} out of range [0, {vertex_count})",
+                                      edge=pos)
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", frozenset(normalized))
@@ -126,15 +131,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Positive integer labels, one per vertex."""
+    """Positive ``int`` labels (no bool, float or str), one per vertex."""
 
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
         if not vals:
             raise ValueError("labeling must be nonempty")
-        if any(v < 1 for v in vals):
+        if {*map(type, vals)} != {int} or min(vals) < 1:
             raise ValueError("labels must be positive integers")
         object.__setattr__(self, "values", vals)
 

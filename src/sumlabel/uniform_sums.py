@@ -227,13 +227,6 @@ def merge_inequality_check(p, t1: int, t2: int) -> MergeChecks:
     return MergeChecks(conv1, _decrease_holds(pn, pd, t2))
 
 
-def binomial_tail_le_one(p, t: int) -> Fraction:
-    """g(t) = Pr[Binomial(t, p) <= 1] as an exact fraction (the literal
-    formula, mainly useful as an oracle for :func:`merge_inequality_check`)."""
-    q = _as_fraction(p)
-    return (1 - q) ** t + t * q * (1 - q) ** (t - 1)
-
-
 def exact_collision_probability(x: Iterable[int], y: Iterable[int], n_values: int) -> Fraction:
     """Exact probability, over i.i.d. uniform labels on [n_values], that two
     distinct vertex sets get equal label sums.

@@ -12,8 +12,10 @@ from itertools import combinations, product
 from math import ceil, comb, exp
 from random import Random
 
-from sumlabel import (BudgetExhausted, Graph, Hypergraph, Labeling, OracleTooLarge, ParseError,
-                      ValidationError, is_distinguishing)
+from hypothesis import strategies as st
+
+from sumlabel import (BudgetExhausted, Graph, Hypergraph, Labeling, ParseError, ValidationError,
+                      is_distinguishing)
 
 
 # Instance files for the two-step labeler.  With small K and C, "c", "e"
@@ -127,6 +129,10 @@ def brute_force_decide(h: Hypergraph, cap: int) -> tuple[int, ...] | None:
 
 
 ORACLE_GUARD = 10**8
+
+
+class OracleTooLarge(Exception):
+    """The brute-force enumeration oracle would exceed its size guard."""
 
 
 def oracle_enumerate(h: Hypergraph, max_label: int) -> Labeling | None:
@@ -467,6 +473,13 @@ def sum_pmf_family_oracle(n_values: int, max_summands: int):
         yield tuple(counts)
 
 
+def binomial_tail_le_one(p: Fraction, t: int) -> Fraction:
+    """g(t) = Pr[Binomial(t, p) <= 1] as an exact fraction, by the literal
+    formula: oracle for ``merge_inequality_check``, which compares only
+    the factors g(t) = (1-p)**(t-1) * (1 + (t-1) p)."""
+    return (1 - p) ** t + t * p * (1 - p) ** (t - 1)
+
+
 def _oracle_int_fields(line: str, lineno: int) -> list[int]:
     try:
         return [int(tok) for tok in line.split()]
@@ -518,3 +531,95 @@ def parse_hypergraph_oracle(text: str) -> tuple[int, tuple[frozenset[int], ...]]
         seen[edge] = lineno
         edges.append(edge)
     return n, tuple(edges)
+
+
+def parse_graph_oracle(text: str) -> tuple[int, frozenset[tuple[int, int]]]:
+    """``(vertex_count, edges)`` of a ".g" text by the earlier line-by-line
+    parser, which runs every format and semantic check itself, line by
+    line.  It builds no ``Graph``; its last check is the one the earlier
+    ``Graph`` made, a negative vertex count with no line number.
+    Reference for ``formats.parse_graph``: same result, or the same
+    exception class and message."""
+    lines = _oracle_data_lines(text)
+    if not lines:
+        raise ParseError("empty input")
+    lineno, header = lines[0]
+    head = _oracle_int_fields(header, lineno)
+    if len(head) != 2:
+        raise ParseError("header must be 'n m'", lineno)
+    n, m = head
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", lineno)
+    edges: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int], int] = {}
+    for lineno, line in lines[1:]:
+        fields = _oracle_int_fields(line, lineno)
+        if len(fields) != 2:
+            raise ParseError("graph edge line must be 'u v'", lineno)
+        u, v = fields
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}", lineno)
+        for w in (u, v):
+            if not 0 <= w < n:
+                raise ValidationError(f"vertex {w} out of range [0, {n})", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValidationError(f"duplicate edge (first seen on line {seen[key]})", lineno)
+        seen[key] = lineno
+        edges.append(key)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return n, frozenset(edges)
+
+
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c")
+BAD_TOKENS = ("x", "1.5", "0x1", "--1", "1e3", "+-2")
+
+
+@st.composite
+def int_token(draw, value: int) -> str:
+    """``value`` as a token int() accepts: plain, with a + sign or with
+    leading zeros; rarely a token that is no integer at all."""
+    style = draw(st.sampled_from(["plain"] * 30 + ["plus", "zeros", "bad"]))
+    if style == "bad":
+        return draw(st.sampled_from(BAD_TOKENS))
+    if style == "plus" and value >= 0:
+        return f"+{value}"
+    if style == "zeros" and value >= 0:
+        return f"00{value}"
+    return str(value)
+
+
+@st.composite
+def graph_texts(draw, max_n: int = 6, max_edges: int = 8) -> str:
+    """".g" texts near the format: mostly valid (half of them trees), with
+    blank and whitespace-only lines, mixed line breaks and separators,
+    signs, and every fault the parser reports (wrong token counts, loops,
+    out-of-range and negative vertices, a pair repeated in either
+    orientation, a negative vertex count), often several in one file."""
+    n = draw(st.sampled_from(list(range(max_n + 1)) * 3 + [-1, -2]))
+    if n >= 2 and draw(st.booleans()):  # a tree: vertex v hangs off an earlier one
+        pairs = [draw(st.permutations([draw(st.integers(0, v - 1)), v])) for v in range(1, n)]
+    else:
+        vertex = st.sampled_from(list(range(max(n, 1))) * 4 + [-1, max(n, 1)] * 2)
+        pairs = draw(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=max_edges))
+    if pairs and draw(st.booleans()):  # a copy of an earlier pair
+        copy = draw(st.permutations(draw(st.sampled_from(pairs))))
+        pairs.insert(draw(st.integers(0, len(pairs))), copy)
+    m = len(pairs) + draw(st.sampled_from([0] * 10 + [-1, 1]))
+    header = [n, m] + draw(st.sampled_from([[]] * 20 + [[1]]))
+    if draw(st.sampled_from([False] * 29 + [True])):
+        header = header[:1]
+    rows = [header]
+    for pair in pairs:
+        extra = draw(st.sampled_from([0] * 12 + [-1, 1]))
+        rows.append(pair[:extra] if extra < 0 else pair + [0] * extra)
+    lines = []
+    for row in rows:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        tokens = [draw(int_token(v)) for v in row]
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        lines.append(pad + sep.join(tokens) + pad)
+    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)

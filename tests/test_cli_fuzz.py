@@ -1,9 +1,12 @@
-"""In-process fuzzing of the CLI's JSON input boundaries.
+"""In-process fuzzing of the CLI's input boundaries.
 
 ``verify --labels-file`` and ``experiment`` read JSON that the user
-writes by hand.  Whatever the file holds, :func:`main` must return 0, 1
-or 2 without letting an exception escape, and a usage error (exit 2)
-must print nothing on stdout and exactly one line on stderr.
+writes by hand; ``bounds``, ``solve sstar``, ``label repair``, ``label
+tree`` and ``verify --kind graph`` read ".g" files; ``gen lowerbound``
+takes eps and ``--delta`` as any float.  Whatever the input, :func:`main`
+must return 0, 1 or 2 without letting an exception escape, and a usage
+error (exit 2) must print nothing on stdout and exactly one line on
+stderr.
 """
 
 import json
@@ -12,9 +15,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumlabel.cli import main
+
+from helpers import graph_texts
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -85,3 +91,46 @@ def test_experiment_field_of_wrong_type(data):
         code, out, err = run_cli(["experiment", str(config)])
     check_exit(code, out, err)
     assert code == 2 and err.startswith(f"error: {field} must be ")
+
+
+# argv after the instance path, per subcommand that reads a ".g" file
+GRAPH_COMMANDS = {
+    "bounds": (["bounds"], []),
+    "solve sstar": (["solve", "sstar"], ["--budget", "20000"]),
+    "label repair": (["label", "repair"], []),
+    "label tree": (["label", "tree"], []),
+    "verify": (["verify"], ["--kind", "graph", "--labels"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+@settings(max_examples=100, deadline=None)
+@given(text=graph_texts(max_n=8, max_edges=12),
+       labels=st.lists(st.integers(1, 8), min_size=9, max_size=9))
+def test_graph_file(command, text, labels):
+    before, after = GRAPH_COMMANDS[command]
+    if command == "verify":
+        # as many labels as the header declares vertices, when it declares 0 to 8
+        head = next(iter(text.split()), "")
+        count = int(head) if head.isdigit() else len(labels)
+        after = [*after, ",".join(map(str, labels[:count]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = Path(tmp) / "instance.g"
+        instance.write_text(text)
+        check_exit(*run_cli([*before, str(instance), *after]))
+
+
+# the core size is m ** (2 / (r + 1 + 2 delta)) for uniformity r, so deltas
+# at and just above -(r + 1) / 2 are singular; other floats rarely land there
+DELTAS = st.sampled_from([-1.5, -1.4999999, -2.0, -2.5]) | st.floats(-3, 2) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(1, 60), eps=st.floats(0, 1) | st.floats(),
+       delta=DELTAS)
+def test_gen_lowerbound_any_float(n, m, eps, delta):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "lowerbound.hg"
+        # "--" keeps a negative eps such as -inf from reading as an option
+        check_exit(*run_cli(["gen", "lowerbound", f"--delta={delta}", f"--out={out}", "--",
+                             str(n), str(m), str(eps)]))

@@ -5,15 +5,15 @@ from random import Random
 
 import pytest
 
-from sumlabel import (BudgetExhausted, DualDegenerate, Hypergraph, OracleTooLarge,
+from sumlabel import (BudgetExhausted, DualDegenerate, Hypergraph,
                       closed_neighborhood_hypergraph, decide_labeling, dual, exact_irr,
                       exact_s, exact_s_star, is_distinguishing)
 from sumlabel.exact import DEFAULT_NODE_BUDGET, symmetry_classes
 
-from helpers import (brute_force_decide, brute_force_min_max_label, complete_graph,
-                     complete_hypergraph, exact_search_oracle, graph_as_hypergraph,
-                     oracle_enumerate, path_graph, random_graph, random_hypergraph, star_graph,
-                     symmetry_classes_oracle)
+from helpers import (OracleTooLarge, brute_force_decide, brute_force_min_max_label,
+                     complete_graph, complete_hypergraph, exact_search_oracle,
+                     graph_as_hypergraph, oracle_enumerate, path_graph, random_graph,
+                     random_hypergraph, star_graph, symmetry_classes_oracle)
 
 
 class TestDecideLabeling:

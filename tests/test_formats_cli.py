@@ -16,9 +16,10 @@ from sumlabel.formats import (labeling_payload, parse_graph, parse_hypergraph,
                               serialize_graph, serialize_hypergraph)
 from sumlabel.hypergraph import Labeling
 
-from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
-                     graph_as_hypergraph, parse_hypergraph_oracle, path_graph, random_graph,
-                     random_hypergraph, random_tree, star_graph)
+from helpers import (LINE_BREAKS, TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
+                     graph_as_hypergraph, graph_texts, int_token, parse_graph_oracle,
+                     parse_hypergraph_oracle, path_graph, random_graph, random_hypergraph,
+                     random_tree, star_graph)
 
 
 class TestHypergraphFormat:
@@ -97,23 +98,6 @@ EDGE_FAULTS = {
     "duplicate": "1 0",
 }
 
-LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c")
-BAD_TOKENS = ("x", "1.5", "0x1", "--1", "1e3", "+-2")
-
-
-@st.composite
-def _int_token(draw, value: int) -> str:
-    """``value`` as a token int() accepts: plain, with a + sign or with
-    leading zeros; rarely a token that is no integer at all."""
-    style = draw(st.sampled_from(["plain"] * 30 + ["plus", "zeros", "bad"]))
-    if style == "bad":
-        return draw(st.sampled_from(BAD_TOKENS))
-    if style == "plus" and value >= 0:
-        return f"+{value}"
-    if style == "zeros" and value >= 0:
-        return f"00{value}"
-    return str(value)
-
 
 @st.composite
 def hg_texts(draw) -> str:
@@ -140,7 +124,7 @@ def hg_texts(draw) -> str:
     for row in rows:
         for _ in range(draw(st.integers(0, 2))):
             lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
-        tokens = [draw(_int_token(v)) for v in row]
+        tokens = [draw(int_token(v)) for v in row]
         sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
         pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
         lines.append(pad + sep.join(tokens) + pad)
@@ -206,6 +190,102 @@ class TestGraphFormat:
         for _ in range(25):
             g = random_graph(rng, rng.randint(1, 7), rng.random())
             assert parse_graph(serialize_graph(g)).edges == g.edges
+
+
+def _graph_parsed(text: str):
+    """(vertex_count, edges) of ``parse_graph``, or its error."""
+    try:
+        g = parse_graph(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), exc.line
+    return g.vertex_count, g.edges
+
+
+def _graph_oracle_parsed(text: str):
+    try:
+        return parse_graph_oracle(text)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _graph_expected(text: str):
+    """The earlier parser's result, except for a negative vertex count: once
+    the header and the number of edge lines pass, that is now reported on
+    the header line, before any fault on a later line."""
+    expected = _graph_oracle_parsed(text)
+    header = next(((i, line.split()) for i, line in enumerate(text.splitlines(), start=1)
+                   if line.split()), None)
+    if len(expected) == 3 and header is not None and expected[2] != header[0] \
+            and int(header[1][0]) < 0:
+        return ValidationError, f"line {header[0]}: vertex count must be non-negative", header[0]
+    return expected
+
+
+# one faulty edge line each, on 4 vertices, after a first edge line "0 1"
+GRAPH_EDGE_FAULTS = {
+    "non_integer": "0 x",
+    "one_token": "2",
+    "three_tokens": "1 2 3",
+    "loop": "2 2",
+    "out_of_range": "0 7",
+    "negative": "-1 0",
+    "duplicate": "0 1",
+    "duplicate_reversed": "1 0",
+}
+
+
+class TestGraphParserAgainstOracle:
+    """The columnar graph parser returns what the line-by-line parser
+    returned, or raises the same exception class with the same message and
+    line; a negative vertex count is the one listed change."""
+
+    @settings(max_examples=400)
+    @given(graph_texts())
+    def test_same_result_or_error(self, text):
+        assert _graph_parsed(text) == _graph_expected(text)
+
+    @pytest.mark.parametrize("first", sorted(GRAPH_EDGE_FAULTS))
+    @pytest.mark.parametrize("second", sorted(GRAPH_EDGE_FAULTS))
+    def test_two_faulty_lines_report_the_first(self, first, second):
+        text = f"4 4\n0 1\n{GRAPH_EDGE_FAULTS[first]}\n2 3\n{GRAPH_EDGE_FAULTS[second]}\n"
+        expected = _graph_oracle_parsed(text)
+        assert expected[2] == 3
+        assert _graph_parsed(text) == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty input"),
+        ("4 x\n0 x\n", "line 1: non-integer token in '4 x'"),
+        ("4\n0 1\n", "line 1: header must be 'n m'"),
+        ("4 3\n0 x\n", "line 1: expected 3 edge lines, found 1"),
+        ("0 0\n", None),
+        ("4 2\n\n0 +3\n\x0b 3 1 00\n", "line 5: graph edge line must be 'u v'"),
+        ("4 2\r\n1 3\x0c\x0c1 0x3\n", "line 4: non-integer token in '1 0x3'"),
+        ("4 2\x1c1 3\n 3\t01 \n", "line 3: duplicate edge (first seen on line 2)"),
+        ("4 1\n-1 -1\n", "line 2: self-loop at vertex -1"),
+        ("4 1\n5 -1\n", "line 2: vertex 5 out of range [0, 4)"),
+        ("-1 1\n0 x\n", "line 1: vertex count must be non-negative"),
+    ])
+    def test_fault_messages(self, text, message):
+        got = _graph_parsed(text)
+        assert got == _graph_expected(text)
+        if message is not None:
+            assert got[1] == message
+
+    @pytest.mark.parametrize("text,before", [
+        ("-1 0\n", (ValueError, "vertex count must be non-negative", None)),
+        ("-1 1\n0 1\n", (ValidationError, "line 2: vertex 0 out of range [0, -1)", 2)),
+        ("\n-2 2\n0 1\n1 1\n", (ValidationError, "line 3: vertex 0 out of range [0, -2)", 3)),
+    ])
+    def test_negative_vertex_count_names_the_header(self, text, before):
+        assert _graph_oracle_parsed(text) == before
+        lineno = 2 if text.startswith("\n") else 1
+        assert _graph_parsed(text) == (
+            ValidationError, f"line {lineno}: vertex count must be non-negative", lineno)
+
+    def test_valid_file_with_odd_separators(self):
+        text = "\n 3\t+2 \r\n\n2 0\x1c\x0b 1 +002\x0c"
+        expected = (3, frozenset({(0, 2), (1, 2)}))
+        assert _graph_parsed(text) == _graph_oracle_parsed(text) == expected
 
 
 def test_labeling_payload_shape():
@@ -299,6 +379,23 @@ class TestCli:
         assert code == 0
         h = parse_hypergraph(out)
         assert h.vertex_count == 100 and h.edge_count == 100
+
+    @pytest.mark.parametrize("delta", ["-1.5", "-1.4999999", "-0.5", "nan", "inf"])
+    def test_gen_lowerbound_rejects_bad_delta(self, capsys, delta):
+        code, out = self.run(capsys, "gen", "lowerbound", "10", "20", "0.9", f"--delta={delta}")
+        assert code == 1
+        assert json.loads(out) == {"error": "InfeasibleParams",
+                                   "message": "delta must be finite and non-negative"}
+
+    def test_experiment_rejects_bad_delta(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"kind": "lowerbound", "measure": "shape", "seeds": [1],
+                                        "n_vertices": 10, "edge_count": 20, "eps": 0.9,
+                                        "delta": -1.5}))
+        code, out = self.run(capsys, "experiment", str(cfg_file))
+        assert code == 1
+        assert json.loads(out) == {"error": "InfeasibleParams",
+                                   "message": "delta must be finite and non-negative"}
 
     def test_pmf_window_and_margin(self, capsys):
         code, out = self.run(capsys, "pmf", "2", "2", "--window", "2", "3", "--margin", "0")

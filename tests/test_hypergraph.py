@@ -53,6 +53,9 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="^hypergraph needs at least one vertex$"):
             Hypergraph(0, [])
 
+    def test_graph_keeps_a_repeated_pair_once(self):
+        assert Graph(3, [(0, 1), (1, 0), (0, 1)]).edges == {(0, 1)}
+
     def test_graph_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):
             Graph(2, [(1, 1)])
@@ -60,6 +63,26 @@ class TestConstruction:
     def test_labeling_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Labeling([1, 0])
+
+    @pytest.mark.parametrize("values", [[1.7, 2.2], ["3", 1], [True, 2], [2, 3.0], [1, None]])
+    def test_labeling_rejects_non_int_values(self, values):
+        with pytest.raises(ValueError, match="^labels must be positive integers$"):
+            Labeling(values)
+
+    @pytest.mark.parametrize("n,pairs,edge,reason,message", [
+        (-1, [], None, "vertex count must be non-negative", "vertex count must be non-negative"),
+        (3, [(0, 1), (2, 2), (0, 5)], 1, "self-loop at vertex 2", "self-loop at vertex 2"),
+        (3, [(0, 1), (5, -1)], 1, "vertex 5 out of range [0, 3)",
+         "edge (5,-1) out of range [0, 3)"),
+        (3, [(1, 0), (0, -1)], 1, "vertex -1 out of range [0, 3)",
+         "edge (0,-1) out of range [0, 3)"),
+    ])
+    def test_graph_validation_error_names_the_first_faulty_pair(self, n, pairs, edge, reason,
+                                                                message):
+        with pytest.raises(ValidationError) as err:
+            Graph(n, pairs)
+        assert isinstance(err.value, ValueError)
+        assert (err.value.edge, err.value.reason, str(err.value)) == (edge, reason, message)
 
     def test_labeling_max(self):
         assert Labeling([2, 7, 1]).max_label == 7

@@ -7,12 +7,12 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumlabel import (TooLarge, binomial_tail_le_one, exact_collision_probability,
-                      iter_sum_pmfs, merge_inequality_check, peak_probability_margin,
-                      sum_pmf, window_probability)
+from sumlabel import (TooLarge, exact_collision_probability, iter_sum_pmfs,
+                      merge_inequality_check, peak_probability_margin, sum_pmf,
+                      window_probability)
 from sumlabel.uniform_sums import Pmf
 
-from helpers import sum_pmf_family_oracle, sum_pmf_oracle
+from helpers import binomial_tail_le_one, sum_pmf_family_oracle, sum_pmf_oracle
 
 
 class TestSumPmf:
