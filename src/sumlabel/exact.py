@@ -184,6 +184,8 @@ class _Search:
     """
 
     def __init__(self, h: Hypergraph, node_budget: int | None):
+        if node_budget is not None and node_budget < 1:
+            raise ValueError("node budget must be positive")
         self.h = h
         self.order = _static_vertex_order(h)
         depth_of = [0] * h.vertex_count

@@ -3,14 +3,15 @@
 ``verify --labels-file`` and ``experiment`` read JSON that the user
 writes by hand; ``bounds``, ``solve sstar``, ``label repair``, ``label
 tree`` and ``verify --kind graph`` read ".g" files; ``gen lowerbound``
-takes eps and ``--delta`` as any float.  Whatever the input, :func:`main`
-must return 0, 1 or 2 without letting an exception escape, and a usage
-error (exit 2) must print nothing on stdout and exactly one line on
-stderr.
+takes eps and ``--delta`` as any float; ``pmf`` takes any integer shape
+and window and any float margin.  Whatever the input, :func:`main` must
+return 0, 1 or 2 without letting an exception escape, and a usage error
+(exit 2) must print nothing on stdout and exactly one line on stderr.
 """
 
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -59,14 +60,18 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def check_exit(code: int, out: str, err: str) -> None:
+def check_exit(code: int, out: str, err: str, fmt: str = "json") -> None:
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
     else:
         assert err == ""
-        json.loads(out)
+        if fmt == "json":
+            json.loads(out)
+        else:
+            lines = out.splitlines()
+            assert lines and all(": " in line for line in lines)
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,3 +139,30 @@ def test_gen_lowerbound_any_float(n, m, eps, delta):
         # "--" keeps a negative eps such as -inf from reading as an option
         check_exit(*run_cli(["gen", "lowerbound", f"--delta={delta}", f"--out={out}", "--",
                              str(n), str(m), str(eps)]))
+
+
+# shapes inside the size guard stay small, so that building the Fractions
+# is fast; each value past the guard is past it whatever the other one is.
+# Valid small shapes are drawn most often, so exit 0 is reached as well.
+PAST_GUARD = st.sampled_from([10**6, 10**8, 2**70])
+SHAPE = st.integers(1, 12) | st.integers(-3, 12) | PAST_GUARD
+
+
+@settings(max_examples=300, deadline=None)
+@given(summands=SHAPE, n=SHAPE, window=st.none() | st.tuples(st.integers(), st.integers()),
+       margin=st.none() | st.floats(), exact=st.booleans(), text=st.booleans())
+def test_pmf_any_shape(summands, n, window, margin, exact, text):
+    argv = ["--format", "text"] if text else []
+    argv.append("pmf")
+    if window is not None:
+        argv += ["--window", *map(str, window)]
+    if margin is not None:
+        argv.append(f"--margin={margin}")
+    if exact:
+        argv.append("--exact")
+    # "--" keeps a negative shape from reading as an option
+    argv += ["--", str(summands), str(n)]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 5.0
+    check_exit(code, out, err, "text" if text else "json")

@@ -112,6 +112,15 @@ class TestExactS:
         lo, hi = err.value.bracket
         assert lo <= 7 <= hi  # the true optimum (7, by enumeration) stays inside
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        h = Hypergraph(2, [(0,), (1,), (0, 1)])
+        g = path_graph(3)
+        for solve in (lambda: decide_labeling(h, 2, budget), lambda: exact_s(h, budget),
+                      lambda: exact_s_star(g, budget), lambda: exact_irr(h, budget)):
+            with pytest.raises(ValueError, match="node budget must be positive"):
+                solve()
+
     def test_bracket_ceiling_counts_covered_vertices_only(self):
         # 2 of 200 vertices covered: the ceiling is 2**(2 - 1), not 2**199
         h = Hypergraph(200, [(0,), (1,), (0, 1)])

@@ -490,6 +490,24 @@ class TestCli:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: budget must be positive\n"
 
+    @pytest.mark.parametrize("kind,file", [("s", "full3.hg"), ("sstar", "path3.g"),
+                                           ("irr", "full3.hg")])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_solve_rejects_budget_below_one(self, capsys, instances, kind, file, budget):
+        code = main(["solve", kind, str(instances / file), f"--budget={budget}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: node budget must be positive\n"
+
+    def test_experiment_rejects_budget_below_one(self, capsys, tmp_path):
+        cfg = {"kind": "complete", "measure": "exact_s", "sizes": [2], "node_budget": 0}
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps(cfg))
+        code = main(["experiment", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: node budget must be positive\n"
+
     def test_experiment(self, capsys, tmp_path):
         cfg = {"kind": "complete", "measure": "exact_s", "sizes": [2, 3]}
         cfg_file = tmp_path / "exp.json"

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
+from operator import mul
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +92,40 @@ class TestAgainstSlidingWindowOracle:
         for n in range(1, 61):
             got = [pmf.counts for pmf in iter_sum_pmfs(n, 50)]
             assert got == list(sum_pmf_family_oracle(n, 50)), n
+
+
+class TestCoefficientRecurrence:
+    """``sum_pmf``'s three-term coefficient recurrence against a closed form
+    and against the convolution that ``iter_sum_pmfs`` runs."""
+
+    def test_two_values_are_binomial(self):
+        for ell in range(1, 301):
+            assert sum_pmf(ell, 2).counts == tuple(comb(ell, k) for k in range(ell + 1)), ell
+
+    def test_agrees_with_the_family_convolution(self):
+        for n in range(1, 31):
+            for pmf in iter_sum_pmfs(n, 60):
+                assert sum_pmf(pmf.summands, n).counts == pmf.counts, (pmf.summands, n)
+
+    def test_one_value(self):
+        for ell in (1, 2, 3, 50, 1000):
+            assert sum_pmf(ell, 1).counts == (1,)
+
+    def test_one_summand(self):
+        for n in (1, 2, 3, 4, 7, 1000):
+            assert sum_pmf(1, n).counts == (1,) * n
+
+    @pytest.mark.parametrize("ell,n", [(1000, 50), (100, 5000)])
+    def test_large_shapes_are_fast_and_exact(self, ell, n):
+        start = perf_counter()
+        pmf = sum_pmf(ell, n)
+        assert perf_counter() - start < 2.0
+        total = n**ell
+        assert sum(pmf.counts) == total
+        # with d = 2t - ell (n + 1): E[d] = 0 and E[d**2] = 4 ell (n**2 - 1) / 12
+        d = range(-ell * (n - 1), ell * (n - 1) + 1, 2)
+        assert sum(map(mul, pmf.counts, d)) == 0
+        assert 3 * sum(c * x * x for c, x in zip(pmf.counts, d)) == total * ell * (n * n - 1)
 
 
 class TestPmfValidation:
