@@ -66,6 +66,19 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_or_print(text: str, path: str | None, meta: dict[str, Any]) -> dict[str, Any] | None:
+    """Write ``text`` to ``path`` and return ``meta`` with the path, or
+    print ``text`` to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return None
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SumLabelError(f"cannot write {path}: {exc}") from exc
+    return {"written": path, **meta}
+
+
 def _load_hypergraph(path: str) -> Hypergraph:
     return formats.parse_hypergraph(_read(path))
 
@@ -129,12 +142,8 @@ def _cmd_bounds(args) -> dict[str, Any]:
 
 def _cmd_dual(args) -> dict[str, Any] | None:
     d = transforms.dual(_load_hypergraph(args.file))
-    text = formats.serialize_hypergraph(d)
-    if args.out:
-        Path(args.out).write_text(text)
-        return {"written": args.out, "n": d.vertex_count, "m": d.edge_count}
-    sys.stdout.write(text)
-    return None
+    return _write_or_print(formats.serialize_hypergraph(d), args.out,
+                           {"n": d.vertex_count, "m": d.edge_count})
 
 
 def _cmd_gen(args) -> dict[str, Any] | None:
@@ -147,12 +156,7 @@ def _cmd_gen(args) -> dict[str, Any] | None:
         meta = {"n": h.vertex_count, "m": h.edge_count, "seed": args.seed,
                 "uniformity": gen.uniformity, "core": gen.core_vertex_count,
                 "padding": gen.padding_vertices}
-    text = formats.serialize_hypergraph(h)
-    if args.out:
-        Path(args.out).write_text(text)
-        return {"written": args.out, **meta}
-    sys.stdout.write(text)
-    return None
+    return _write_or_print(formats.serialize_hypergraph(h), args.out, meta)
 
 
 def _format_fraction(q: Fraction, exact_mode: bool):
@@ -208,13 +212,9 @@ def _cmd_verify(args) -> tuple[dict[str, Any], int]:
     kind = args.kind
     if kind == "auto":
         kind = "graph" if args.file.endswith(".g") else "hypergraph"
-    if kind == "graph":
-        g = _load_graph(args.file)
-        ok = is_vertex_sum_distinguishing(g, f)
-    else:
-        h = _load_hypergraph(args.file)
-        ok = is_distinguishing(h, f)
-    return formats.labeling_payload(f, ok), 0 if ok else 1
+    instance = _load_graph(args.file) if kind == "graph" else _load_hypergraph(args.file)
+    payload = _verified_payload(instance, f)
+    return payload, 0 if payload["verified"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

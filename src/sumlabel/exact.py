@@ -7,7 +7,7 @@ covered vertices in a fixed order, smallest label first, and returns the
 first labeling it completes: the lexicographically first distinguishing
 labeling in search order.  Exhausting every N below the reported optimum
 is the optimality proof; termination is guaranteed because powers of two
-always work, so s(H) <= 2**(n-1).
+on the c covered vertices always work, so s(H) <= 2**(c-1).
 
 The search keeps the sums of the completed edges in one int bitmask and
 checks forward: on entering a vertex it rules out, in one pass over the
@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .constructive import s_star_bounds
 from .errors import BudgetExhausted
 from .hypergraph import Graph, Hypergraph, Labeling, is_distinguishing
 from .transforms import closed_neighborhood_hypergraph, dual
@@ -252,8 +251,11 @@ class _Search:
             d += 1
             if d < size:
                 enter(d)
-        if d < 0:
-            return None
+        return None if d < 0 else self.labeling(labels)
+
+    def labeling(self, labels: list[int]) -> Labeling:
+        """The labeling giving ``labels[d]`` to the vertex at depth d and 1
+        to every uncovered vertex."""
         values = [1] * self.h.vertex_count
         for v, x in zip(self.order, labels):
             values[v] = x
@@ -282,62 +284,54 @@ def _quick_lower_bound(h: Hypergraph) -> int:
     return max(1, -(-need // hi))
 
 
-def exact_s(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET,
-            lower_bound: int = 1) -> SolveResult:
+def exact_s(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Smallest N such that a distinguishing labeling with labels in [N]
     exists, with a verified witness.
 
-    Practical only at desk scale (roughly n <= 12 or few edges).  When the
-    node budget runs out, raises :class:`BudgetExhausted` carrying the
-    bracket of N values still in play.
-
-    ``lower_bound`` must be a proven lower bound on s: the search starts
-    there and never tries a smaller N.  A bound above the 2**(c - 1)
-    ceiling, or one that the first labeling found beats, raises
-    ``ValueError``.
+    Tries N from :func:`_quick_lower_bound` up to the ceiling 2**(c - 1)
+    for c covered vertices, which powers of two on them reach.  Practical
+    only at desk scale (roughly n <= 12 or few edges).  When the node
+    budget runs out, raises :class:`BudgetExhausted` carrying the bracket
+    of N values still in play, unless it runs out at the ceiling: every
+    smaller N is then refuted, so the ceiling is returned with the
+    labeling that gives 2**d to the vertex at depth d of the search order.
+    On c <= 3 that is the witness the search finds.  On c >= 4 the ceiling
+    is never tried: Lunnon's {3, 5, 6, 7} has distinct subset sums, and so
+    has {1} joined to twice such a set, so s < 2**(c - 1).
     """
     start = time.perf_counter()
     search = _Search(h, node_budget)
-    # uncovered vertices take label 1, and powers of two on the c covered
-    # vertices give distinct sums, so s <= 2**(c - 1)
     ceiling = 1 << max(len(search.order) - 1, 0)
-    if lower_bound > ceiling:
-        raise ValueError(f"lower_bound {lower_bound} is above the ceiling {ceiling} "
-                         f"that powers of two on the covered vertices reach")
-    lo = max(lower_bound, _quick_lower_bound(h))
     nodes_per_bound: dict[int, int] = {}
-    for bound in range(lo, ceiling + 1):
+    for bound in range(_quick_lower_bound(h), ceiling + 1):
         before = search.nodes
         try:
             witness = search.decide(bound)
         except BudgetExhausted as exc:
-            raise BudgetExhausted(
-                f"node budget exhausted while testing N={bound}",
-                bracket=(bound, ceiling),
-                detail={"nodes": search.nodes},
-            ) from exc
+            if bound < ceiling:
+                raise BudgetExhausted(
+                    f"node budget exhausted while testing N={bound}",
+                    bracket=(bound, ceiling),
+                    detail={"nodes": search.nodes},
+                ) from exc
+            witness = search.labeling([1 << d for d in range(len(search.order))])
         nodes_per_bound[bound] = search.nodes - before
         if witness is not None:
             assert is_distinguishing(h, witness)
-            # with a proven start every N below it fails, so the witness reaches it
-            if witness.max_label < lo:
-                raise ValueError(f"lower_bound {lower_bound} is not a lower bound: a "
-                                 f"labeling with max label {witness.max_label} exists")
             return SolveResult(bound, witness, search.nodes, time.perf_counter() - start,
                                nodes_per_bound, search.symmetry_classes)
     raise AssertionError("unreachable: powers of two give a labeling at the ceiling")
 
 
 def exact_s_star(g: Graph, node_budget: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:
-    """Smallest max label of a vertex sum-distinguishing labeling of ``g``.
+    """Smallest max label of a vertex sum-distinguishing labeling of ``g``:
+    ``exact_s`` of its closed-neighborhood hypergraph.
 
-    Equals ``exact_s`` of the closed-neighborhood hypergraph; the degree
-    lower bound (n' + delta) / (Delta + 1) seeds the search when the
-    graph has edges.
+    That hypergraph has n' edges of sizes delta + 1 ... Delta + 1, so the
+    search starts at ceil((n' + delta) / (Delta + 1)), the lower end of
+    :func:`~sumlabel.constructive.s_star_bounds`.
     """
-    h = closed_neighborhood_hypergraph(g)
-    lb = s_star_bounds(g).lower if g.edge_count > 0 else 1
-    return exact_s(h, node_budget, lower_bound=lb)
+    return exact_s(closed_neighborhood_hypergraph(g), node_budget)
 
 
 def exact_irr(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:

@@ -268,9 +268,10 @@ def exact_collision_probability(x: Iterable[int], y: Iterable[int], n_values: in
     """Exact probability, over i.i.d. uniform labels on [n_values], that two
     distinct vertex sets get equal label sums.
 
-    Labels on the intersection cancel, so only the two difference sets
-    matter; the result is the inner product of their sum PMFs.  Always at
-    most 1/n_values.
+    Labels on the intersection cancel, so only the two difference sets a
+    and b matter.  X -> N + 1 - X maps uniforms on [N] to uniforms, so
+    S_a = S_b exactly when S_a plus the mirrored S_b, a sum of |a| + |b|
+    uniforms, equals |b| (N + 1).  Always at most 1/n_values.
     """
     xs, ys = frozenset(x), frozenset(y)
     if xs == ys:
@@ -283,11 +284,4 @@ def exact_collision_probability(x: Iterable[int], y: Iterable[int], n_values: in
     if not a or not b:
         # one sum is a strict sub-sum of the other; positive labels force inequality
         return Fraction(0)
-    pa, pb = sum_pmf(len(a), n_values), sum_pmf(len(b), n_values)
-    lo = max(pa.support_base, pb.support_base)
-    hi = min(pa.support_max, pb.support_max)
-    hits = sum(
-        pa.counts[t - pa.support_base] * pb.counts[t - pb.support_base]
-        for t in range(lo, hi + 1)
-    )
-    return Fraction(hits, n_values ** (len(a) + len(b)))
+    return sum_pmf(len(a) + len(b), n_values).prob(len(b) * (n_values + 1))

@@ -591,6 +591,38 @@ def int_token(draw, value: int) -> str:
 
 
 @st.composite
+def hg_texts(draw) -> str:
+    """".hg" texts near the format: mostly valid, with blank and
+    whitespace-only lines, mixed line breaks and separators, signs, and
+    every fault the parser reports, often several in one file."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -1]))
+    vertex = st.sampled_from(list(range(max(n, 1))) * 4 + [-1, max(n, 1)] * 2)
+    unique = draw(st.sampled_from([True, True, False]))
+    edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=4, unique=unique), max_size=6))
+    if edges and draw(st.booleans()):  # a copy of an earlier edge
+        copy = draw(st.permutations(draw(st.sampled_from(edges))))
+        edges.insert(draw(st.integers(0, len(edges))), copy)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        edges.insert(draw(st.integers(0, len(edges))), [])
+    m = len(edges) + draw(st.sampled_from([0] * 10 + [-1, 1]))
+    header = [n, m] + draw(st.sampled_from([[]] * 20 + [[1]]))
+    if draw(st.sampled_from([False] * 29 + [True])):
+        header = header[:1]
+    rows = [header]
+    for vs in edges:
+        rows.append([len(vs) + draw(st.sampled_from([0] * 10 + [-1, 1])), *vs])
+    lines = []
+    for row in rows:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        tokens = [draw(int_token(v)) for v in row]
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        lines.append(pad + sep.join(tokens) + pad)
+    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+
+
+@st.composite
 def graph_texts(draw, max_n: int = 6, max_edges: int = 8) -> str:
     """".g" texts near the format: mostly valid (half of them trees), with
     blank and whitespace-only lines, mixed line breaks and separators,

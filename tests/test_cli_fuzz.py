@@ -2,9 +2,12 @@
 
 ``verify --labels-file`` and ``experiment`` read JSON that the user
 writes by hand; ``bounds``, ``solve sstar``, ``label repair``, ``label
-tree`` and ``verify --kind graph`` read ".g" files; ``gen lowerbound``
-takes eps and ``--delta`` as any float; ``pmf`` takes any integer shape
-and window and any float margin.  Whatever the input, :func:`main` must
+tree`` and ``verify --kind graph`` read ".g" files; ``solve s``,
+``label quadratic``, ``label two-step`` and ``verify --kind hypergraph``
+read ".hg" files; ``gen runiform`` takes any integer shape and any float
+edge probability; ``gen lowerbound`` takes eps and ``--delta`` as any
+float; ``pmf`` takes any integer shape and window and any float margin.
+Whatever the input, :func:`main` must
 return 0, 1 or 2 without letting an exception escape, and a usage error
 (exit 2) must print nothing on stdout and exactly one line on stderr.
 """
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumlabel.cli import main
 
-from helpers import graph_texts
+from helpers import graph_texts, hg_texts
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -123,6 +126,46 @@ def test_graph_file(command, text, labels):
         instance = Path(tmp) / "instance.g"
         instance.write_text(text)
         check_exit(*run_cli([*before, str(instance), *after]))
+
+
+# argv after the instance path, per subcommand that reads a ".hg" file;
+# small step budgets keep two-step's futile instances fast
+HYPERGRAPH_COMMANDS = {
+    "solve s": (["solve", "s"], ["--budget", "20000"]),
+    "label quadratic": (["label", "quadratic"], []),
+    "label two-step": (["label", "two-step"], ["--step1-budget", "20", "--step2-budget", "20"]),
+    "verify": (["verify"], ["--kind", "hypergraph", "--labels"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HYPERGRAPH_COMMANDS))
+@settings(max_examples=100, deadline=None)
+@given(text=hg_texts(), labels=st.lists(st.integers(1, 8), min_size=7, max_size=7))
+def test_hypergraph_file(command, text, labels):
+    before, after = HYPERGRAPH_COMMANDS[command]
+    if command == "verify":
+        # as many labels as the header declares vertices, when it declares 0 to 6
+        head = next(iter(text.split()), "")
+        count = int(head) if head.isdigit() else len(labels)
+        after = [*after, ",".join(map(str, labels[:count]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        instance = Path(tmp) / "instance.hg"
+        instance.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run_cli([*before, str(instance), *after])
+    assert time.perf_counter() - start < 5.0
+    check_exit(code, out, err)
+
+
+# n stays at most 16, so no shape past the size guard builds more than
+# binom(16, 8) = 12,870 edges
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(max_value=16), r=st.integers(), p=st.floats())
+def test_gen_runiform_any_shape(n, r, p):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "runiform.hg"
+        # "--" keeps a negative n, r or p from reading as an option
+        check_exit(*run_cli(["gen", "runiform", f"--out={out}", "--", str(n), str(r), str(p)]))
 
 
 # the core size is m ** (2 / (r + 1 + 2 delta)) for uniformity r, so deltas

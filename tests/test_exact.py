@@ -1,14 +1,15 @@
 """Exact solver against the brute-force enumeration oracle and the earlier
 recursive search."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
 
-from sumlabel import (BudgetExhausted, DualDegenerate, Hypergraph,
+from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph,
                       closed_neighborhood_hypergraph, decide_labeling, dual, exact_irr,
-                      exact_s, exact_s_star, is_distinguishing)
-from sumlabel.exact import DEFAULT_NODE_BUDGET, symmetry_classes
+                      exact_s, exact_s_star, is_distinguishing, s_star_bounds)
+from sumlabel.exact import DEFAULT_NODE_BUDGET, _static_vertex_order, symmetry_classes
 
 from helpers import (OracleTooLarge, brute_force_decide, brute_force_min_max_label,
                      complete_graph, complete_hypergraph, exact_search_oracle,
@@ -122,41 +123,49 @@ class TestExactS:
                 solve()
 
     def test_bracket_ceiling_counts_covered_vertices_only(self):
-        # 2 of 200 vertices covered: the ceiling is 2**(2 - 1), not 2**199
-        h = Hypergraph(200, [(0,), (1,), (0, 1)])
+        # 3 of 200 vertices covered: the ceiling is 2**(3 - 1), not 2**199
+        h = Hypergraph(200, [(0,), (1,), (2,)])
         with pytest.raises(BudgetExhausted) as err:
             exact_s(h, node_budget=1)
-        assert err.value.bracket == (2, 2)
+        assert err.value.bracket == (3, 4)
         # with four covered vertices among nine the top is 2**3
         h = Hypergraph(9, [(1, 4), (4, 6), (6, 8), (1, 6, 8)])
         with pytest.raises(BudgetExhausted) as err:
             exact_s(h, node_budget=1)
         assert err.value.bracket[1] == 8
 
+    def test_budget_running_out_at_the_ceiling_returns_powers_of_two(self):
+        # 2 of 200 vertices covered: the start bound 2 is the ceiling 2**(2 - 1)
+        res = exact_s(Hypergraph(200, [(0,), (1,), (0, 1)]), node_budget=1)
+        assert res.optimum == 2 and res.witness.values == (1, 2) + (1,) * 198
+        assert res.nodes_per_bound == {2: res.nodes_expanded}
+
+    def test_no_budget_closes_the_bracket_on_three_vertices(self):
+        # every edge set over 3 vertices; c <= 3 is the only case that reaches
+        # the ceiling, and there the search's witness is powers of two in order
+        subsets = [c for k in (1, 2, 3) for c in combinations(range(3), k)]
+        at_ceiling = 0
+        for mask in range(1, 2 ** len(subsets)):
+            h = Hypergraph(3, [e for i, e in enumerate(subsets) if mask >> i & 1])
+            plain = exact_s(h, node_budget=None)
+            order = _static_vertex_order(h)
+            ceiling = 2 ** (len(order) - 1)
+            if plain.optimum == ceiling:
+                at_ceiling += 1
+                assert all(plain.witness.values[v] == 2**d for d, v in enumerate(order))
+            for budget in range(1, plain.nodes_expanded + 1):
+                try:
+                    res = exact_s(h, budget)
+                except BudgetExhausted as err:
+                    lo, hi = err.bracket
+                    assert lo < hi == ceiling
+                else:
+                    assert (res.optimum, res.witness) == (plain.optimum, plain.witness)
+        assert at_ceiling == 11
+
     def test_edgeless_ceiling(self):
         res = exact_s(Hypergraph(5, []))
         assert res.optimum == 1 and res.witness.values == (1,) * 5
-
-    def test_lower_bound_above_ceiling_rejected(self):
-        h = Hypergraph(3, [(0,), (1,), (0, 1, 2)])  # s = 2, ceiling 2**(3 - 1)
-        with pytest.raises(ValueError, match="above the ceiling 4"):
-            exact_s(h, lower_bound=100)
-        with pytest.raises(ValueError, match="above the ceiling"):
-            exact_s(h, lower_bound=5)
-
-    def test_lower_bound_beaten_by_the_witness_rejected(self):
-        h = Hypergraph(3, [(0,), (1,), (0, 1, 2)])
-        for bound in (3, 4):
-            with pytest.raises(ValueError, match="not a lower bound: .* max label 2"):
-                exact_s(h, lower_bound=bound)
-
-    def test_proven_lower_bound_gives_the_same_answer(self):
-        h = Hypergraph(3, [(0,), (1,), (0, 1, 2)])
-        plain = exact_s(h)
-        assert plain.optimum == 2
-        for bound in (1, 2):
-            res = exact_s(h, lower_bound=bound)
-            assert res.optimum == 2 and res.witness == plain.witness
 
     def test_deterministic(self):
         h = complete_hypergraph(4)
@@ -190,14 +199,20 @@ class TestExactSStar:
         assert exact_s_star(complete_graph(4)).optimum == 1
 
     def test_equals_neighborhood_hypergraph_solve(self):
+        # the search starts at the degree bound of s_star_bounds, edgeless graphs included
         rng = Random(43)
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-            from sumlabel import Graph
-
-            g = Graph(n, edges)
-            assert exact_s_star(g).optimum == exact_s(closed_neighborhood_hypergraph(g)).optimum
+        edgeless = 0
+        for _ in range(400):
+            n = rng.randint(1, 11)
+            p = rng.choice((0.0, 0.2, 0.4, 0.6))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            edgeless += g.edge_count == 0
+            res = exact_s_star(g)
+            plain = exact_s(closed_neighborhood_hypergraph(g))
+            assert (res.optimum, res.witness, res.nodes_expanded, res.nodes_per_bound) == (
+                plain.optimum, plain.witness, plain.nodes_expanded, plain.nodes_per_bound)
+            assert min(res.nodes_per_bound) == s_star_bounds(g).lower
+        assert edgeless > 0
 
     def test_exhaustive_against_direct_enumeration(self):
         # every graph on up to 4 vertices, against a solver-free full scan

@@ -16,8 +16,8 @@ from sumlabel.formats import (labeling_payload, parse_graph, parse_hypergraph,
                               serialize_graph, serialize_hypergraph)
 from sumlabel.hypergraph import Labeling
 
-from helpers import (LINE_BREAKS, TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
-                     graph_as_hypergraph, graph_texts, int_token, parse_graph_oracle,
+from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
+                     graph_as_hypergraph, graph_texts, hg_texts, parse_graph_oracle,
                      parse_hypergraph_oracle, path_graph, random_graph, random_hypergraph,
                      random_tree, star_graph)
 
@@ -97,38 +97,6 @@ EDGE_FAULTS = {
     "negative": "1 -1",
     "duplicate": "1 0",
 }
-
-
-@st.composite
-def hg_texts(draw) -> str:
-    """".hg" texts near the format: mostly valid, with blank and
-    whitespace-only lines, mixed line breaks and separators, signs, and
-    every fault the parser reports, often several in one file."""
-    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -1]))
-    vertex = st.sampled_from(list(range(max(n, 1))) * 4 + [-1, max(n, 1)] * 2)
-    unique = draw(st.sampled_from([True, True, False]))
-    edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=4, unique=unique), max_size=6))
-    if edges and draw(st.booleans()):  # a copy of an earlier edge
-        copy = draw(st.permutations(draw(st.sampled_from(edges))))
-        edges.insert(draw(st.integers(0, len(edges))), copy)
-    if draw(st.sampled_from([False] * 9 + [True])):
-        edges.insert(draw(st.integers(0, len(edges))), [])
-    m = len(edges) + draw(st.sampled_from([0] * 10 + [-1, 1]))
-    header = [n, m] + draw(st.sampled_from([[]] * 20 + [[1]]))
-    if draw(st.sampled_from([False] * 29 + [True])):
-        header = header[:1]
-    rows = [header]
-    for vs in edges:
-        rows.append([len(vs) + draw(st.sampled_from([0] * 10 + [-1, 1])), *vs])
-    lines = []
-    for row in rows:
-        for _ in range(draw(st.integers(0, 2))):
-            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
-        tokens = [draw(int_token(v)) for v in row]
-        sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
-        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
-        lines.append(pad + sep.join(tokens) + pad)
-    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
 
 
 class TestParserAgainstOracle:
@@ -374,6 +342,19 @@ class TestCli:
         h = parse_hypergraph(out_file.read_text())
         assert h.edge_count == meta["m"]
 
+    @pytest.mark.parametrize("argv", [["dual", "{full3}"], ["gen", "runiform", "8", "2", "0.5"],
+                                      ["gen", "lowerbound", "100", "100", "0.9"]],
+                             ids=["dual", "runiform", "lowerbound"])
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    def test_unwritable_out_exits_two(self, capsys, instances, tmp_path, argv, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "out.hg"
+        argv = [a.format(full3=instances / "full3.hg") for a in argv]
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_gen_lowerbound_stdout(self, capsys):
         code, out = self.run(capsys, "gen", "lowerbound", "100", "100", "0.9", "--seed", "2")
         assert code == 0
@@ -541,13 +522,29 @@ class TestCli:
                                    "bracket": [3, 4], "detail": {"nodes": 3}}
 
     def test_budget_exhaustion_ceiling_counts_covered_vertices(self, capsys, tmp_path):
-        # 198 of the 200 vertices are uncovered; labels 1, 2 on the two covered
-        # ones already distinguish, so the bracket top is 2, not 2**199
+        # 197 of the 200 vertices are uncovered; labels 1, 2, 4 on the three
+        # covered ones already distinguish, so the bracket top is 4, not 2**199
         path = tmp_path / "sparse.hg"
-        path.write_text("200 3\n1 0\n1 1\n2 0 1\n")
+        path.write_text("200 3\n1 0\n1 1\n1 2\n")
         code, out = self.run(capsys, "solve", "s", str(path), "--budget", "1")
         assert code == 1
-        assert json.loads(out)["bracket"] == [2, 2]
+        assert json.loads(out)["bracket"] == [3, 4]
+
+    @pytest.mark.parametrize("text,budget", [("3 3\n1 0\n1 1\n2 0 1\n", "1"),
+                                             ("3 7\n1 0\n1 1\n1 2\n2 0 1\n2 0 2\n2 1 2\n"
+                                              "3 0 1 2\n", "6")], ids=["pair", "full3"])
+    def test_budget_running_out_at_the_ceiling_exits_zero(self, capsys, tmp_path, text, budget):
+        # every N below the 2**(c - 1) ceiling is refuted, so the ceiling is the
+        # optimum and powers of two in search order are the unbudgeted witness
+        path = tmp_path / "instance.hg"
+        path.write_text(text)
+        code, out = self.run(capsys, "solve", "s", str(path), "--budget", budget)
+        _, plain = self.run(capsys, "solve", "s", str(path))
+        payload, unbudgeted = json.loads(out), json.loads(plain)
+        assert code == 0
+        assert payload["optimum"] == unbudgeted["optimum"]
+        assert payload["witness"] == unbudgeted["witness"]
+        assert payload["nodes"] == int(budget) + 1 <= unbudgeted["nodes"]
 
     def test_two_step_exhaustion_keeps_census(self, capsys, tmp_path):
         # label cap ceil(4/4) = 1 ties the special pair on every step-one draw

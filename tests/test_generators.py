@@ -75,6 +75,15 @@ class TestLowerBoundInstance:
             assert gen.padding_vertices == n - gen.core_vertex_count
             assert all(len(e) == gen.uniformity for e in h.edges)
 
+    def test_top_up_to_exactly_m(self):
+        # a 300-vertex core at p ~ 0.994 samples about 44,580 of the 44,850
+        # pairs, so the missing edges are drawn from the pairs left out
+        m = 44_845
+        gen = lower_bound_instance(300, m, 0.9, seed=1, delta=0.377)
+        assert gen.core_vertex_count == 300 and gen.padding_vertices == 0
+        assert gen.edge_probability * comb(300, 2) < m - 200
+        assert gen.hypergraph.edge_count == m
+
     def test_eps_guard(self):
         with pytest.raises(InfeasibleParams):
             lower_bound_instance(100, 100, 0.01, seed=1)
@@ -145,6 +154,21 @@ class TestExperiments:
         report = run_experiment(cfg)
         assert all("max_label" in r and r["max_label"] <= r["label_cap"]
                    for r in report.records)
+
+    def test_quadratic_measure(self):
+        cfg = ExperimentConfig(kind="runiform", measure="quadratic", seeds=(1, 2),
+                               n_vertices=8, uniformity=2, edge_probability=0.5)
+        report = run_experiment(cfg)
+        assert all(r["attempts"] >= 1 and r["max_label"] <= r["m"] ** 2
+                   for r in report.records)
+
+    def test_exhausted_budget_records_the_bracket(self):
+        cfg = ExperimentConfig(kind="complete", measure="exact_s", sizes=(4,), node_budget=10)
+        report = run_experiment(cfg)
+        # K4 has s = 7; the budget runs out at the start bound ceil(15 / 4)
+        assert report.records == ({"seed": cfg.seeds[0], "n": 4, "m": 15, "s": None,
+                                   "bracket": [4, 8]},)
+        assert report.summary == {"runs": 1}
 
     def test_lowerbound_shape_records(self):
         cfg = ExperimentConfig(kind="lowerbound", measure="shape", seeds=(3,),

@@ -245,13 +245,15 @@ class TestCollisionProbability:
 
     def test_matches_enumeration(self):
         rng = Random(53)
+        cases = [(frozenset({0, 1, 2}), frozenset({3}), 2)]  # sums 3..6 against 1..2
         for _ in range(30):
             universe = list(range(4))
             x = frozenset(rng.sample(universe, rng.randint(0, 3)))
             y = frozenset(rng.sample(universe, rng.randint(1, 4)))
             if x == y:
                 continue
-            n = rng.randint(2, 5)
+            cases.append((x, y, rng.randint(2, 5)))
+        for x, y, n in cases:
             union = sorted(x | y)
             hits = 0
             for values in product(range(1, n + 1), repeat=len(union)):
