@@ -14,14 +14,14 @@ from .exact import SolveResult, decide_labeling, exact_irr, exact_s, exact_s_sta
 from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
                          LowerBoundParams, gen_runiform, lower_bound_instance,
                          lower_bound_params, run_experiment, sum_class_histogram)
-from .hypergraph import (Graph, Hypergraph, Labeling, closed_sums, edge_sums,
-                         is_distinguishing, is_vertex_sum_distinguishing,
+from .hypergraph import (Graph, Hypergraph, Labeling, closed_neighborhood_groups, closed_sums,
+                         edge_sums, is_distinguishing, is_vertex_sum_distinguishing,
                          power_of_two_labeling)
 from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, TwoStepResult,
                          classify_edges, quadratic_random_labeling, step_one,
                          step_one_successful, two_step_labeling)
-from .transforms import (closed_neighborhood_groups, closed_neighborhood_hypergraph, dual,
-                         injective_reduction, open_neighborhood_hypergraph, split_embed)
+from .transforms import (closed_neighborhood_hypergraph, dual, injective_reduction,
+                         open_neighborhood_hypergraph, split_embed)
 from .uniform_sums import (MergeChecks, Pmf, exact_collision_probability, iter_sum_pmfs,
                            merge_inequality_check, peak_probability_margin, sum_pmf,
                            window_probability)

@@ -21,8 +21,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .hypergraph import Graph, Labeling, closed_sums, is_vertex_sum_distinguishing
-from .transforms import closed_neighborhood_groups
+from .hypergraph import (Graph, Labeling, closed_neighborhood_groups, closed_sums,
+                         is_vertex_sum_distinguishing)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ class ShapeError(SumLabelError):
 
 
 class DualDegenerate(SumLabelError):
-    """Two vertices share an identical incidence set, so the dual would
-    contain duplicate edges and no irregular labeling can exist."""
+    """Two vertices share an identical incidence set, so their incident
+    sums tie under every edge labeling and no irregular labeling can exist:
+    a nonempty shared set is a duplicate edge of the dual, an empty one two
+    uncovered vertices."""
 
     def __init__(self, groups: list[tuple[int, ...]]):
         self.groups = groups

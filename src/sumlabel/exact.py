@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, DualDegenerate
 from .hypergraph import Graph, Hypergraph, Labeling, is_distinguishing
 from .transforms import closed_neighborhood_hypergraph, dual
 
@@ -336,7 +336,12 @@ def exact_s_star(g: Graph, node_budget: int | None = DEFAULT_NODE_BUDGET) -> Sol
 
 def exact_irr(h: Hypergraph, node_budget: int | None = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Irregularity strength: minimum max edge-label making all per-vertex
-    incident sums distinct.  Computed as ``exact_s`` of the dual; a
-    degenerate dual (two vertices in exactly the same edges) propagates
-    :class:`DualDegenerate` since no irregular labeling can exist."""
+    incident sums distinct.  Computed as ``exact_s`` of the dual, which
+    leaves uncovered vertices out: one of them is fine, since its sum 0 is
+    below every positive sum.  Two vertices in exactly the same edges, two
+    uncovered ones included, raise :class:`DualDegenerate` since no
+    irregular labeling can exist."""
+    uncovered = tuple(v for v, inc in enumerate(h.incidence) if not inc)
+    if len(uncovered) > 1:
+        raise DualDegenerate([uncovered])
     return exact_s(dual(h), node_budget)

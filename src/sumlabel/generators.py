@@ -260,7 +260,13 @@ def _measure(config: ExperimentConfig, h: Hypergraph, seed: int) -> dict[str, An
         res = quadratic_random_labeling(h, seed)
         return {"attempts": res.attempts, "max_label": res.labeling.max_label}
     if config.measure == "two_step":
-        out = two_step_labeling(h, TwoStepConfig(label_divisor=config.label_divisor, seed=seed))
+        cfg = TwoStepConfig(label_divisor=config.label_divisor, seed=seed)
+        try:
+            out = two_step_labeling(h, cfg)
+        except BudgetExhausted as exc:
+            return {"step1_attempts": exc.detail["step1_attempts"],
+                    "step2_attempts": exc.detail["step2_attempts"],
+                    "max_label": None, "label_cap": cfg.label_cap(h.edge_count)}
         return {"step1_attempts": out.step1_attempts, "step2_attempts": out.step2_attempts,
                 "max_label": out.labeling.max_label, "label_cap": out.label_cap}
     return {}

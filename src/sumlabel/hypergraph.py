@@ -180,18 +180,25 @@ def closed_sums(g: Graph, f: Labeling) -> tuple[int, ...]:
     return tuple(vals[v] + sum(vals[u] for u in g.adjacency[v]) for v in range(g.vertex_count))
 
 
+def closed_neighborhood_groups(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Vertices grouped by identical closed neighborhood, in order of the
+    smallest vertex in each group."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(g.closed_neighborhood(v), []).append(v)
+    return tuple(map(tuple, groups.values()))
+
+
 def is_vertex_sum_distinguishing(g: Graph, f: Labeling) -> bool:
     """True iff closed-neighborhood sums differ for every pair of vertices
     with distinct closed neighborhoods.
 
     Pairs sharing the same closed neighborhood automatically share the
-    same sum and are exempt.
+    same sum and are exempt, so one vertex per group is compared.
     """
     sums = closed_sums(g, f)
-    by_class: dict[frozenset[int], int] = {}
-    for v in range(g.vertex_count):
-        by_class[g.closed_neighborhood(v)] = sums[v]
-    return len(set(by_class.values())) == len(by_class)
+    groups = closed_neighborhood_groups(g)
+    return len({sums[vs[0]] for vs in groups}) == len(groups)
 
 
 def power_of_two_labeling(n: int) -> Labeling:

@@ -8,45 +8,30 @@ labelings to be injective.
 
 from __future__ import annotations
 
-import warnings
-from collections import defaultdict
-
-from .errors import DualDegenerate, EmptyNeighborhood, ShapeError
-from .hypergraph import Graph, Hypergraph
+from .errors import DualDegenerate, EmptyNeighborhood, ShapeError, ValidationError
+from .hypergraph import Graph, Hypergraph, closed_neighborhood_groups
 
 
 def dual(h: Hypergraph) -> Hypergraph:
     """Dual hypergraph: one vertex per edge of ``h``; one edge per vertex
     of ``h``, namely its incidence set.
 
-    Vertices of ``h`` contained in no edge are skipped with a warning
-    (isolated vertices are legitimate padding).  Two vertices with the
-    same nonempty incidence set would produce duplicate dual edges, so
-    that case raises :class:`DualDegenerate`.
+    Vertices of ``h`` contained in no edge are left out (isolated vertices
+    are legitimate padding).  Two vertices with the same nonempty
+    incidence set give duplicate dual edges, which the
+    :class:`Hypergraph` constructor rejects; that case raises
+    :class:`DualDegenerate` naming every such group.
     """
-    groups: dict[frozenset[int], list[int]] = defaultdict(list)
-    skipped = []
-    for v, inc in enumerate(h.incidence):
-        if not inc:
-            skipped.append(v)
-        else:
-            groups[inc].append(v)
-    colliding = [tuple(vs) for vs in groups.values() if len(vs) > 1]
-    if colliding:
-        raise DualDegenerate(colliding)
-    if skipped:
-        warnings.warn(f"dual: skipped uncovered vertices {skipped}", stacklevel=2)
-    edges = [h.incidence[v] for v in range(h.vertex_count) if h.incidence[v]]
-    return Hypergraph(h.edge_count, edges)
-
-
-def closed_neighborhood_groups(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Vertices grouped by identical closed neighborhood, in order of the
-    smallest vertex in each group."""
+    try:
+        return Hypergraph(h.edge_count, [inc for inc in h.incidence if inc])
+    except ValidationError as exc:
+        if exc.first is None:
+            raise
     groups: dict[frozenset[int], list[int]] = {}
-    for v in range(g.vertex_count):
-        groups.setdefault(g.closed_neighborhood(v), []).append(v)
-    return tuple(tuple(vs) for vs in sorted(groups.values(), key=lambda vs: vs[0]))
+    for v, inc in enumerate(h.incidence):
+        if inc:
+            groups.setdefault(inc, []).append(v)
+    raise DualDegenerate([tuple(vs) for vs in groups.values() if len(vs) > 1])
 
 
 def closed_neighborhood_hypergraph(g: Graph) -> Hypergraph:

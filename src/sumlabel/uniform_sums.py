@@ -271,15 +271,14 @@ def exact_collision_probability(x: Iterable[int], y: Iterable[int], n_values: in
     Labels on the intersection cancel, so only the two difference sets a
     and b matter.  X -> N + 1 - X maps uniforms on [N] to uniforms, so
     S_a = S_b exactly when S_a plus the mirrored S_b, a sum of |a| + |b|
-    uniforms, equals |b| (N + 1).  Always at most 1/n_values.
+    uniforms, equals |b| (N + 1).  Always at most 1/n_values.  Raises
+    :class:`TooLarge` when that PMF is past :func:`sum_pmf`'s size guard.
     """
     xs, ys = frozenset(x), frozenset(y)
     if xs == ys:
         raise ValueError("sets must be distinct (equal sets collide with probability 1)")
     if n_values < 1:
         raise ValueError("n_values must be positive")
-    if n_values ** len(xs | ys) > 10**8:
-        raise TooLarge("label space exceeds the enumeration guard")
     a, b = xs - ys, ys - xs
     if not a or not b:
         # one sum is a strict sub-sum of the other; positive labels force inequality

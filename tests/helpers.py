@@ -7,6 +7,7 @@ search against itself.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, comb, exp
@@ -14,8 +15,8 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from sumlabel import (BudgetExhausted, Graph, Hypergraph, Labeling, ParseError, ValidationError,
-                      is_distinguishing)
+from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph, Labeling, ParseError,
+                      ValidationError, closed_sums, is_distinguishing)
 
 
 # Instance files for the two-step labeler.  With small K and C, "c", "e"
@@ -106,6 +107,43 @@ def all_graphs(n: int):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def dual_oracle(h: Hypergraph) -> tuple[Hypergraph, list[int]]:
+    """The earlier ``dual``, which grouped vertices by incidence set before
+    building the dual.  It returns the uncovered vertices it skipped,
+    where that version warned about them."""
+    groups: dict[frozenset[int], list[int]] = defaultdict(list)
+    skipped = []
+    for v, inc in enumerate(h.incidence):
+        if not inc:
+            skipped.append(v)
+        else:
+            groups[inc].append(v)
+    colliding = [tuple(vs) for vs in groups.values() if len(vs) > 1]
+    if colliding:
+        raise DualDegenerate(colliding)
+    edges = [h.incidence[v] for v in range(h.vertex_count) if h.incidence[v]]
+    return Hypergraph(h.edge_count, edges), skipped
+
+
+def closed_neighborhood_groups_oracle(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The earlier ``closed_neighborhood_groups``, which sorted the groups
+    by their smallest vertex."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(g.closed_neighborhood(v), []).append(v)
+    return tuple(tuple(vs) for vs in sorted(groups.values(), key=lambda vs: vs[0]))
+
+
+def is_vertex_sum_distinguishing_oracle(g: Graph, f: Labeling) -> bool:
+    """The earlier ``is_vertex_sum_distinguishing``, which kept one sum per
+    closed neighborhood in its own frozenset-keyed dict."""
+    sums = closed_sums(g, f)
+    by_class: dict[frozenset[int], int] = {}
+    for v in range(g.vertex_count):
+        by_class[g.closed_neighborhood(v)] = sums[v]
+    return len(set(by_class.values())) == len(by_class)
 
 
 def brute_force_min_max_label(h: Hypergraph) -> int:

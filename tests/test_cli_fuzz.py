@@ -3,18 +3,21 @@
 ``verify --labels-file`` and ``experiment`` read JSON that the user
 writes by hand; ``bounds``, ``solve sstar``, ``label repair``, ``label
 tree`` and ``verify --kind graph`` read ".g" files; ``solve s``,
-``label quadratic``, ``label two-step`` and ``verify --kind hypergraph``
-read ".hg" files; ``gen runiform`` takes any integer shape and any float
-edge probability; ``gen lowerbound`` takes eps and ``--delta`` as any
-float; ``pmf`` takes any integer shape and window and any float margin.
-Whatever the input, :func:`main` must
+``solve irr``, ``label quadratic``, ``label two-step``, ``dual`` and
+``verify --kind hypergraph`` read ".hg" files; ``gen runiform`` takes
+any integer shape and any float edge probability; ``gen lowerbound``
+takes eps and ``--delta`` as any float; ``pmf`` takes any integer shape
+and window and any float margin.  Whatever the input, :func:`main` must
 return 0, 1 or 2 without letting an exception escape, and a usage error
 (exit 2) must print nothing on stdout and exactly one line on stderr.
+The ".hg" commands run with warnings turned into errors, so a warning
+escapes :func:`main` as well.
 """
 
 import json
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumlabel.cli import main
+from sumlabel.formats import parse_hypergraph, serialize_hypergraph
 
 from helpers import graph_texts, hg_texts
 
@@ -64,17 +68,21 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 def check_exit(code: int, out: str, err: str, fmt: str = "json") -> None:
+    """``fmt`` is "json", "text" (key/value lines) or "hg": ".hg" text at
+    exit 0 that parses and serializes back to itself, JSON at exit 1."""
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
     else:
         assert err == ""
-        if fmt == "json":
-            json.loads(out)
-        else:
+        if fmt == "text":
             lines = out.splitlines()
             assert lines and all(": " in line for line in lines)
+        elif fmt == "hg" and code == 0:
+            assert serialize_hypergraph(parse_hypergraph(out)) == out
+        else:
+            json.loads(out)
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,8 +140,10 @@ def test_graph_file(command, text, labels):
 # small step budgets keep two-step's futile instances fast
 HYPERGRAPH_COMMANDS = {
     "solve s": (["solve", "s"], ["--budget", "20000"]),
+    "solve irr": (["solve", "irr"], ["--budget", "20000"]),
     "label quadratic": (["label", "quadratic"], []),
     "label two-step": (["label", "two-step"], ["--step1-budget", "20", "--step2-budget", "20"]),
+    "dual": (["dual"], []),
     "verify": (["verify"], ["--kind", "hypergraph", "--labels"]),
 }
 
@@ -152,9 +162,11 @@ def test_hypergraph_file(command, text, labels):
         instance = Path(tmp) / "instance.hg"
         instance.write_text(text)
         start = time.perf_counter()
-        code, out, err = run_cli([*before, str(instance), *after])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([*before, str(instance), *after])
     assert time.perf_counter() - start < 5.0
-    check_exit(code, out, err)
+    check_exit(code, out, err, "hg" if command == "dual" else "json")
 
 
 # n stays at most 16, so no shape past the size guard builds more than

@@ -234,6 +234,37 @@ class TestExactIrr:
         with pytest.raises(DualDegenerate):
             exact_irr(Hypergraph(2, [{0, 1}]))
 
+    def test_one_uncovered_vertex_allowed(self):
+        # vertex 2 sums to 0, below the sums 1 and 2 of vertices 0 and 1
+        res = exact_irr(Hypergraph(3, [{0, 1}, {1}]))
+        assert res.optimum == 1 and res.witness.values == (1, 1)
+
+    def test_two_uncovered_vertices_degenerate(self):
+        # vertices 1 and 2 sum to 0 under every labeling
+        with pytest.raises(DualDegenerate) as err:
+            exact_irr(Hypergraph(3, [{0}]))
+        assert err.value.groups == [(1, 2)]
+        with pytest.raises(DualDegenerate, match="0,1,2"):
+            exact_irr(Hypergraph(3, []))
+
+    def test_refuses_exactly_on_shared_incidence(self):
+        rng = Random(43)
+        outcomes = dict.fromkeys(("uncovered pair", "twins", "one uncovered", "covered"), 0)
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            h = random_hypergraph(rng, n, rng.randint(1, min(6, 2**n - 1)))
+            if len(set(h.incidence)) < n:
+                with pytest.raises(DualDegenerate):
+                    exact_irr(h)
+                uncovered = sum(not inc for inc in h.incidence)
+                outcomes["uncovered pair" if uncovered > 1 else "twins"] += 1
+                continue
+            w = exact_irr(h).witness.values
+            sums = [sum(w[e] for e in inc) for inc in h.incidence]
+            assert len(w) == h.edge_count and len(set(sums)) == n
+            outcomes["one uncovered" if 0 in sums else "covered"] += 1
+        assert min(outcomes.values()) >= 15, outcomes
+
     def test_equals_dual_solve(self):
         rng = Random(47)
         done = 0

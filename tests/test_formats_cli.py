@@ -3,8 +3,12 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -300,6 +304,37 @@ class TestCli:
         code, out = self.run(capsys, "solve", "irr", str(instances / "k2.hg"))
         assert code == 1
         assert json.loads(out)["error"] == "DualDegenerate"
+
+    @pytest.mark.parametrize("text,code,stdout", [
+        ("3 1\n1 0\n", 1, '{"error": "DualDegenerate", '
+                          '"message": "vertices with identical incidence sets: 1,2"}\n'),
+        ("3 0\n", 1, '{"error": "DualDegenerate", '
+                     '"message": "vertices with identical incidence sets: 0,1,2"}\n'),
+        ("1 0\n", 2, ""),
+    ], ids=["two-uncovered", "edgeless", "single-vertex-edgeless"])
+    def test_solve_irr_refuses_tied_uncovered_vertices(self, capsys, tmp_path, text, code,
+                                                       stdout):
+        path = tmp_path / "instance.hg"
+        path.write_text(text)
+        assert main(["solve", "irr", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err == ("" if code == 1 else
+                                "error: hypergraph needs at least one vertex\n")
+
+    def test_dual_and_irr_print_nothing_on_stderr(self, tmp_path):
+        # vertex 2 is uncovered: left out of the dual, with sum 0 under irr
+        path = tmp_path / "uncovered.hg"
+        path.write_text("3 2\n2 0 1\n1 1\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        for argv, expected in ((["dual"], "2 2\n1 0\n2 0 1\n"),
+                               (["solve", "irr"],
+                                '{"nodes": 2, "optimum": 1, "witness": [1, 1]}\n')):
+            proc = subprocess.run([sys.executable, "-m", "sumlabel.cli", *argv, str(path)],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
     def test_label_two_step_deterministic_bytes(self, capsys, instances):
         args = ("label", "two-step", str(instances / "rand.hg"), "--C", "4", "--seed", "7")

@@ -170,6 +170,22 @@ class TestExperiments:
                                    "bracket": [4, 8]},)
         assert report.summary == {"runs": 1}
 
+    def test_exhausted_two_step_budget_keeps_every_record(self):
+        cfg = ExperimentConfig(kind="runiform", measure="two_step", seeds=tuple(range(6)),
+                               n_vertices=6, uniformity=2, edge_probability=0.6,
+                               label_divisor=15)
+        records = run_experiment(cfg).records
+        assert [r["seed"] for r in records] == list(range(6))
+        for r in records:
+            assert set(r) == {"seed", "n", "m", "step1_attempts", "step2_attempts",
+                              "max_label", "label_cap"}
+            assert r["label_cap"] == -(-r["m"] ** 2 // 15)
+        exhausted = [r["seed"] for r in records if r["max_label"] is None]
+        assert exhausted == [1, 2, 3, 5]
+        assert all((r["step1_attempts"], r["step2_attempts"]) == (1000, 0)
+                   for r in records if r["max_label"] is None)
+        assert all(r["max_label"] <= r["label_cap"] for r in records if r["max_label"])
+
     def test_lowerbound_shape_records(self):
         cfg = ExperimentConfig(kind="lowerbound", measure="shape", seeds=(3,),
                                n_vertices=50, edge_count=80, eps=0.8)

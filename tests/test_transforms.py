@@ -1,16 +1,21 @@
 """Structural transformations: dual, neighborhoods, embedding, reductions."""
 
+import warnings
+from collections import Counter
 from itertools import product
 from random import Random
 
 import pytest
 
 from sumlabel import (DualDegenerate, EmptyNeighborhood, Graph, Hypergraph, Labeling,
-                      ShapeError, closed_neighborhood_groups, closed_neighborhood_hypergraph,
-                      dual, injective_reduction, is_distinguishing,
-                      is_vertex_sum_distinguishing, open_neighborhood_hypergraph, split_embed)
+                      ShapeError, ValidationError, closed_neighborhood_groups,
+                      closed_neighborhood_hypergraph, dual, injective_reduction,
+                      is_distinguishing, is_vertex_sum_distinguishing,
+                      open_neighborhood_hypergraph, power_of_two_labeling, split_embed)
 
-from helpers import all_graphs, complete_graph, path_graph, random_hypergraph
+from helpers import (all_graphs, closed_neighborhood_groups_oracle, complete_graph, dual_oracle,
+                     is_vertex_sum_distinguishing_oracle, path_graph, random_graph,
+                     random_hypergraph)
 
 
 def edge_sets(h: Hypergraph) -> list[set[int]]:
@@ -33,11 +38,36 @@ class TestDual:
             dual(Hypergraph(2, [{0, 1}]))
         assert (0, 1) in err.value.groups
 
-    def test_uncovered_vertex_skipped_with_warning(self):
+    def test_uncovered_vertex_skipped_without_warning(self):
         h = Hypergraph(3, [{0}, {0, 1}])
-        with pytest.warns(UserWarning, match=r"\[2\]"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             d = dual(h)
-        assert d.vertex_count == 2 and d.edge_count == 2
+        assert d.vertex_count == 2 and edge_sets(d) == [{0, 1}, {1}]
+
+    def test_matches_earlier_dual(self):
+        # seeded hypergraphs with n <= 7: edgeless ones, twins and uncovered
+        # vertices included.  Same dual, or the same error, and no warning.
+        rng = Random(29)
+        seen: Counter[str] = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(1200):
+                n = rng.randint(1, 7)
+                h = random_hypergraph(rng, n, rng.randint(0, min(8, 2**n - 1)))
+                try:
+                    expected, skipped = dual_oracle(h)
+                except (DualDegenerate, ValidationError) as exc:
+                    with pytest.raises(type(exc)) as err:
+                        dual(h)
+                    assert str(err.value) == str(exc)
+                    assert getattr(err.value, "groups", None) == getattr(exc, "groups", None)
+                    seen[type(exc).__name__] += 1
+                    continue
+                d = dual(h)
+                assert (d.vertex_count, d.edges) == (expected.vertex_count, expected.edges)
+                seen["uncovered" if skipped else "covered"] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
     def test_involution_on_clean_instances(self):
         rng = Random(7)
@@ -70,6 +100,28 @@ class TestClosedNeighborhoods:
     def test_edgeless(self):
         h = closed_neighborhood_hypergraph(Graph(3, []))
         assert edge_sets(h) == [{0}, {1}, {2}]
+
+    def test_groups_and_vertex_check_match_earlier_code(self):
+        verdicts: Counter[bool] = Counter()
+        for n in range(1, 6):
+            labelings = [Labeling(values) for values in product((1, 2), repeat=n)]
+            for g in all_graphs(n):
+                assert closed_neighborhood_groups(g) == closed_neighborhood_groups_oracle(g)
+                for f in labelings:
+                    verdict = is_vertex_sum_distinguishing(g, f)
+                    assert verdict == is_vertex_sum_distinguishing_oracle(g, f)
+                    verdicts[verdict] += 1
+        rng = Random(31)
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.random())
+            assert closed_neighborhood_groups(g) == closed_neighborhood_groups_oracle(g)
+            labelings = [Labeling([rng.randint(1, 3) for _ in range(n)]) for _ in range(3)]
+            for f in [*labelings, power_of_two_labeling(n)]:
+                verdict = is_vertex_sum_distinguishing(g, f)
+                assert verdict == is_vertex_sum_distinguishing_oracle(g, f)
+                verdicts[verdict] += 1
+        assert min(verdicts[True], verdicts[False]) > 1000, verdicts
 
     def test_equivalence_with_vertex_check(self):
         # same verdict from the graph-side and hypergraph-side checks

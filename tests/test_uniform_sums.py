@@ -240,8 +240,17 @@ class TestCollisionProbability:
             exact_collision_probability({0, 1}, {1, 0}, 5)
 
     def test_guard(self):
+        # 8 uniforms on [10**5] have a support past SUPPORT_GUARD
         with pytest.raises(TooLarge):
-            exact_collision_probability(set(range(10)), set(range(10, 20)), 100)
+            exact_collision_probability({0, 1, 2, 3}, {4, 5, 6, 7}, 10**5)
+
+    def test_large_label_space_within_pmf_guard(self):
+        # 100**8 labelings, but only sum_pmf(8, 100) is built: two disjoint
+        # 4-sets collide with probability sum_t Pr[S_4 = t]**2
+        counts = sum_pmf_oracle(4, 100)
+        expected = Fraction(sum(c * c for c in counts), 100**8)
+        assert exact_collision_probability({0, 1, 2, 3}, {4, 5, 6, 7}, 100) == expected
+        assert exact_collision_probability({0}, {0, 1}, 10**9) == 0
 
     def test_matches_enumeration(self):
         rng = Random(53)
