@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve {s|sstar|irr}, label {quadratic|two-step|repair|tree},
-bounds, dual, gen {runiform|lowerbound}, pmf, experiment, verify.
+bounds, dual, gen {runiform|lowerbound}, pmf, experiment, verify.  Each
+leaf is its own subparser with its own handler and declares only the
+options that handler reads, so options follow the leaf name
+(``sumlabel label two-step -h`` lists that leaf's options) and an option
+a leaf does not read exits 2.
 Output is JSON by default (--format text for key/value lines) and is
 byte-identical across reruns with the same inputs and seed; whenever
 --seed is omitted the fixed default seed is used and echoed in the
@@ -30,7 +34,7 @@ from . import constructive, exact, formats, generators, randomized, transforms, 
 from .errors import (BudgetExhausted, DimensionError, DualDegenerate, EmptyNeighborhood,
                      InfeasibleParams, ParamsOutOfRange, ParseError, ShapeError,
                      SumLabelError, TooLarge, ValidationError)
-from .hypergraph import Graph, Hypergraph, Labeling, is_distinguishing, is_vertex_sum_distinguishing
+from .hypergraph import Graph, Labeling, is_distinguishing, is_vertex_sum_distinguishing
 
 DEFAULT_SEED = randomized.DEFAULT_SEED
 
@@ -79,54 +83,46 @@ def _write_or_print(text: str, path: str | None, meta: dict[str, Any]) -> dict[s
     return {"written": path, **meta}
 
 
-def _load_hypergraph(path: str) -> Hypergraph:
-    return formats.parse_hypergraph(_read(path))
-
-
-def _load_graph(path: str) -> Graph:
-    return formats.parse_graph(_read(path))
-
-
 def _cmd_solve(args) -> dict[str, Any]:
-    if args.variant == "sstar":
-        res = exact.exact_s_star(_load_graph(args.file), args.budget)
-    elif args.variant == "irr":
-        res = exact.exact_irr(_load_hypergraph(args.file), args.budget)
-    else:
-        res = exact.exact_s(_load_hypergraph(args.file), args.budget)
+    res = args.solver(args.parse(_read(args.file)), args.budget)
     return {"optimum": res.optimum, "witness": list(res.witness.values),
             "nodes": res.nodes_expanded}
 
 
 def _verified_payload(instance, f: Labeling, **extra) -> dict[str, Any]:
-    if isinstance(instance, Graph):
-        ok = is_vertex_sum_distinguishing(instance, f)
-    else:
-        ok = is_distinguishing(instance, f)
-    return formats.labeling_payload(f, ok, **extra)
+    """The JSON object of a labeling result, re-verified against ``instance``."""
+    check = is_vertex_sum_distinguishing if isinstance(instance, Graph) else is_distinguishing
+    return {"labels": list(f.values), "max_label": f.max_label,
+            "verified": check(instance, f), **extra}
 
 
-def _cmd_label(args) -> dict[str, Any]:
-    if args.algorithm == "quadratic":
-        h = _load_hypergraph(args.file)
-        res = randomized.quadratic_random_labeling(h, args.seed, args.budget)
-        return _verified_payload(h, res.labeling, attempts=res.attempts, seed=args.seed,
-                                 max_allowed=max(1, h.edge_count) ** 2)
-    if args.algorithm == "two-step":
-        h = _load_hypergraph(args.file)
-        cfg = randomized.TwoStepConfig(
-            label_divisor=args.C, dangerous_cutoff=args.K, stray_limit=args.P,
-            seed=args.seed, step1_budget=args.step1_budget, step2_budget=args.step2_budget)
-        res = randomized.two_step_labeling(h, cfg)
-        return _verified_payload(
-            h, res.labeling, seed=args.seed, label_cap=res.label_cap,
-            step1_attempts=res.step1_attempts, step2_attempts=res.step2_attempts,
-            collision_census=res.collision_census)
-    if args.algorithm == "repair":
-        g = _load_graph(args.file)
-        res = constructive.repair_labeler(g)
-        return _verified_payload(g, res.labeling, xi=res.xi, iterations=len(res.steps))
-    g = _load_graph(args.file)
+def _cmd_quadratic(args) -> dict[str, Any]:
+    h = formats.parse_hypergraph(_read(args.file))
+    res = randomized.quadratic_random_labeling(h, args.seed, args.budget)
+    return _verified_payload(h, res.labeling, attempts=res.attempts, seed=args.seed,
+                             max_allowed=max(1, h.edge_count) ** 2)
+
+
+def _cmd_two_step(args) -> dict[str, Any]:
+    h = formats.parse_hypergraph(_read(args.file))
+    cfg = randomized.TwoStepConfig(
+        label_divisor=args.C, dangerous_cutoff=args.K, stray_limit=args.P,
+        seed=args.seed, step1_budget=args.step1_budget, step2_budget=args.step2_budget)
+    res = randomized.two_step_labeling(h, cfg)
+    return _verified_payload(
+        h, res.labeling, seed=args.seed, label_cap=res.label_cap,
+        step1_attempts=res.step1_attempts, step2_attempts=res.step2_attempts,
+        collision_census=res.collision_census)
+
+
+def _cmd_repair(args) -> dict[str, Any]:
+    g = formats.parse_graph(_read(args.file))
+    res = constructive.repair_labeler(g)
+    return _verified_payload(g, res.labeling, xi=res.xi, iterations=len(res.steps))
+
+
+def _cmd_tree(args) -> dict[str, Any]:
+    g = formats.parse_graph(_read(args.file))
     f = constructive.tree_labeler(g)
     stat = constructive.leaf_stat(g)
     bound = 2 * g.vertex_count - 2 - stat.max_leaf_neighbors
@@ -134,29 +130,31 @@ def _cmd_label(args) -> dict[str, Any]:
 
 
 def _cmd_bounds(args) -> dict[str, Any]:
-    rep = constructive.s_star_bounds(_load_graph(args.file))
+    rep = constructive.s_star_bounds(formats.parse_graph(_read(args.file)))
     return {"distinct_neighborhoods": rep.distinct_neighborhood_count,
             "min_degree": rep.min_degree, "max_degree": rep.max_degree,
             "xi": rep.xi, "lower": rep.lower, "upper_loose": rep.upper_loose}
 
 
 def _cmd_dual(args) -> dict[str, Any] | None:
-    d = transforms.dual(_load_hypergraph(args.file))
+    d = transforms.dual(formats.parse_hypergraph(_read(args.file)))
     return _write_or_print(formats.serialize_hypergraph(d), args.out,
                            {"n": d.vertex_count, "m": d.edge_count})
 
 
-def _cmd_gen(args) -> dict[str, Any] | None:
-    if args.model == "runiform":
-        h = generators.gen_runiform(args.n, args.r, args.p, args.seed)
-        meta: dict[str, Any] = {"n": h.vertex_count, "m": h.edge_count, "seed": args.seed}
-    else:
-        gen = generators.lower_bound_instance(args.n, args.m, args.eps, args.seed, args.delta)
-        h = gen.hypergraph
-        meta = {"n": h.vertex_count, "m": h.edge_count, "seed": args.seed,
-                "uniformity": gen.uniformity, "core": gen.core_vertex_count,
-                "padding": gen.padding_vertices}
-    return _write_or_print(formats.serialize_hypergraph(h), args.out, meta)
+def _cmd_runiform(args) -> dict[str, Any] | None:
+    h = generators.gen_runiform(args.n, args.r, args.p, args.seed)
+    return _write_or_print(formats.serialize_hypergraph(h), args.out,
+                           {"n": h.vertex_count, "m": h.edge_count, "seed": args.seed})
+
+
+def _cmd_lowerbound(args) -> dict[str, Any] | None:
+    gen = generators.lower_bound_instance(args.n, args.m, args.eps, args.seed, args.delta)
+    h = gen.hypergraph
+    return _write_or_print(formats.serialize_hypergraph(h), args.out,
+                           {"n": h.vertex_count, "m": h.edge_count, "seed": args.seed,
+                            "uniformity": gen.uniformity, "core": gen.core_vertex_count,
+                            "padding": gen.padding_vertices})
 
 
 def _format_fraction(q: Fraction, exact_mode: bool):
@@ -212,61 +210,73 @@ def _cmd_verify(args) -> tuple[dict[str, Any], int]:
     kind = args.kind
     if kind == "auto":
         kind = "graph" if args.file.endswith(".g") else "hypergraph"
-    instance = _load_graph(args.file) if kind == "graph" else _load_hypergraph(args.file)
-    payload = _verified_payload(instance, f)
+    parse = formats.parse_graph if kind == "graph" else formats.parse_hypergraph
+    payload = _verified_payload(parse(_read(args.file)), f)
     return payload, 0 if payload["verified"] else 1
 
 
+def _file_leaf(subparsers, name: str, func, what: str, **defaults) -> argparse.ArgumentParser:
+    """Add a leaf command that reads one instance file and runs ``func``."""
+    p = subparsers.add_parser(name, help=what)
+    p.set_defaults(func=func, **defaults)
+    p.add_argument("file")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per leaf command, each declaring only the options its
+    handler reads.  Library callables are bound here, on every :func:`main`
+    call, so one rebound after import is the one that runs."""
     parser = argparse.ArgumentParser(prog="sumlabel",
                                      description="Sum-distinguishing labelings of hypergraphs.")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="exact minimum max label")
-    p.set_defaults(func=_cmd_solve)
-    p.add_argument("variant", choices=("s", "sstar", "irr"))
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, default=exact.DEFAULT_NODE_BUDGET,
-                   help="search node budget")
+    leaves = sub.add_parser("solve", help="exact minimum max label").add_subparsers(
+        dest="variant", required=True)
+    for variant, parse, solver, what in (
+            ("s", formats.parse_hypergraph, exact.exact_s, "s(H) of a .hg file"),
+            ("sstar", formats.parse_graph, exact.exact_s_star, "s*(G) of a .g file"),
+            ("irr", formats.parse_hypergraph, exact.exact_irr, "irr(H) of a .hg file")):
+        p = _file_leaf(leaves, variant, _cmd_solve, what, parse=parse, solver=solver)
+        p.add_argument("--budget", type=int, default=exact.DEFAULT_NODE_BUDGET,
+                       help="search node budget")
 
-    p = sub.add_parser("label", help="construct a distinguishing labeling")
-    p.set_defaults(func=_cmd_label)
-    p.add_argument("algorithm", choices=("quadratic", "two-step", "repair", "tree"))
-    p.add_argument("file")
+    leaves = sub.add_parser("label", help="construct a distinguishing labeling").add_subparsers(
+        dest="algorithm", required=True)
+    p = _file_leaf(leaves, "quadratic", _cmd_quadratic, "random labels in [m^2] (.hg)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=64, help="quadratic retry budget")
+    p.add_argument("--budget", type=int, default=64, help="retry budget")
+    p = _file_leaf(leaves, "two-step", _cmd_two_step, "random labels in [ceil(m^2/C)] (.hg)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--C", type=float, default=4.0, help="label range divisor")
     p.add_argument("--K", type=int, default=64, help="dangerous-pair size cutoff")
     p.add_argument("--P", type=int, default=16, help="non-popular vertex allowance")
     p.add_argument("--step1-budget", type=int, default=1000)
     p.add_argument("--step2-budget", type=int, default=1000)
+    _file_leaf(leaves, "repair", _cmd_repair, "deterministic, max label <= xi (.g)")
+    _file_leaf(leaves, "tree", _cmd_tree, "deterministic, max label <= 2n-2-L (.g tree)")
 
-    p = sub.add_parser("bounds", help="degree-based bracket for a graph")
-    p.set_defaults(func=_cmd_bounds)
-    p.add_argument("file")
+    _file_leaf(sub, "bounds", _cmd_bounds, "degree-based bracket for a graph")
+    _file_leaf(sub, "dual", _cmd_dual, "dual hypergraph").add_argument("--out")
 
-    p = sub.add_parser("dual", help="dual hypergraph")
-    p.set_defaults(func=_cmd_dual)
-    p.add_argument("file")
+    leaves = sub.add_parser("gen", help="generate instances").add_subparsers(
+        dest="model", required=True)
+    p = leaves.add_parser("runiform", help="binomial r-uniform model")
+    p.set_defaults(func=_cmd_runiform)
+    p.add_argument("n", type=int)
+    p.add_argument("r", type=int)
+    p.add_argument("p", type=float)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
-
-    p = sub.add_parser("gen", help="generate instances")
-    p.set_defaults(func=_cmd_gen)
-    gensub = p.add_subparsers(dest="model", required=True)
-    pr = gensub.add_parser("runiform")
-    pr.add_argument("n", type=int)
-    pr.add_argument("r", type=int)
-    pr.add_argument("p", type=float)
-    pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pr.add_argument("--out")
-    pl = gensub.add_parser("lowerbound")
-    pl.add_argument("n", type=int)
-    pl.add_argument("m", type=int)
-    pl.add_argument("eps", type=float)
-    pl.add_argument("--delta", type=float, default=0.1)
-    pl.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pl.add_argument("--out")
+    p = leaves.add_parser("lowerbound", help="hard instance of exact (n, m) shape")
+    p.set_defaults(func=_cmd_lowerbound)
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
+    p.add_argument("eps", type=float)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--out")
 
     p = sub.add_parser("pmf", help="exact sum-of-uniforms distribution")
     p.set_defaults(func=_cmd_pmf)
@@ -282,9 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
 
-    p = sub.add_parser("verify", help="check a labeling against an instance")
-    p.set_defaults(func=_cmd_verify)
-    p.add_argument("file")
+    p = _file_leaf(sub, "verify", _cmd_verify, "check a labeling against an instance")
     p.add_argument("--labels", help="comma- or space-separated label values")
     p.add_argument("--labels-file", help="JSON file with a 'labels' array")
     p.add_argument("--kind", choices=("auto", "hypergraph", "graph"), default="auto")
@@ -305,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.labels is None and args.labels_file is None:
-        parser.error("verify needs --labels or --labels-file")
+    if args.command == "verify" and (args.labels is None) == (args.labels_file is None):
+        parser.error("verify needs --labels or --labels-file, exactly one of them")
     try:
         result = args.func(args)
     except _RESULT_ERRORS as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ShapeError
 from .hypergraph import (Graph, Labeling, closed_neighborhood_groups, closed_sums,
@@ -86,16 +87,19 @@ def repair_labeler(g: Graph) -> RepairResult:
         raise ValueError("repair needs at least one vertex")
     xi = s_star_bounds(g).xi
     closed = [g.closed_neighborhood(v) for v in range(n)]
-    checkable = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if closed[u] != closed[v]
-    ]
     values = [1] * n
     steps: list[RepairStep] = []
     prev_bad: int | None = None
     max_iterations = n * (n - 1) // 2 + 1
     for _ in range(max_iterations):
         sums = closed_sums(g, Labeling(values))
-        bad = [(u, v) for u, v in checkable if sums[u] == sums[v]]
+        # a bad pair ties on its closed sum, so look for them only inside
+        # the groups of tied vertices
+        tied: dict[int, list[int]] = {}
+        for v, s in enumerate(sums):
+            tied.setdefault(s, []).append(v)
+        bad = sorted((u, v) for vs in tied.values() for u, v in combinations(vs, 2)
+                     if closed[u] != closed[v])
         if prev_bad is not None:
             assert len(bad) < prev_bad, "bad-pair count failed to decrease"
         if not bad:

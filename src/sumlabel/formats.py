@@ -1,4 +1,4 @@
-"""Text formats for instances and JSON payloads for labelings.
+"""Text formats for instances.
 
 Hypergraph (".hg"): first line "n m", then m lines "k v_1 ... v_k".
 Graph (".g"): first line "n m", then m lines "u v".
@@ -22,10 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, compress, count, repeat
 from operator import add, ne, sub
-from typing import Any
 
 from .errors import ParseError, ValidationError
-from .hypergraph import Graph, Hypergraph, Labeling
+from .hypergraph import Graph, Hypergraph
 
 
 def _non_integer(text: str, lineno: int) -> ParseError:
@@ -149,14 +148,3 @@ def serialize_graph(g: Graph) -> str:
     for u, v in sorted(g.edges):
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def labeling_payload(f: Labeling, verified: bool, **extra: Any) -> dict[str, Any]:
-    """The canonical JSON object for a labeling result."""
-    payload: dict[str, Any] = {
-        "labels": list(f.values),
-        "max_label": f.max_label,
-        "verified": bool(verified),
-    }
-    payload.update(extra)
-    return payload

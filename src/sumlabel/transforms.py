@@ -20,8 +20,11 @@ def dual(h: Hypergraph) -> Hypergraph:
     are legitimate padding).  Two vertices with the same nonempty
     incidence set give duplicate dual edges, which the
     :class:`Hypergraph` constructor rejects; that case raises
-    :class:`DualDegenerate` naming every such group.
+    :class:`DualDegenerate` naming every such group.  A hypergraph with
+    no edges has no dual and raises :class:`ValidationError`.
     """
+    if not h.edge_count:
+        raise ValidationError("hypergraph has no edges, so its dual has no vertices")
     try:
         return Hypergraph(h.edge_count, [inc for inc in h.incidence if inc])
     except ValidationError as exc:

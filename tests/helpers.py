@@ -16,7 +16,9 @@ from random import Random
 from hypothesis import strategies as st
 
 from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph, Labeling, ParseError,
-                      ValidationError, closed_sums, is_distinguishing)
+                      ValidationError, closed_sums, is_distinguishing,
+                      is_vertex_sum_distinguishing, s_star_bounds)
+from sumlabel.constructive import RepairResult, RepairStep
 
 
 # Instance files for the two-step labeler.  With small K and C, "c", "e"
@@ -155,6 +157,17 @@ def brute_force_min_max_label(h: Hypergraph) -> int:
             if max(values) == cap and is_distinguishing(h, Labeling(values)):
                 return cap
     raise AssertionError("powers of two should always work")
+
+
+def brute_force_s_star(g: Graph) -> int:
+    """s*(G) by full enumeration: the least cap under which some labeling
+    is vertex sum-distinguishing."""
+    cap = 1
+    while True:
+        for values in product(range(1, cap + 1), repeat=g.vertex_count):
+            if is_vertex_sum_distinguishing(g, Labeling(values)):
+                return cap
+        cap += 1
 
 
 def brute_force_decide(h: Hypergraph, cap: int) -> tuple[int, ...] | None:
@@ -393,6 +406,61 @@ def two_step_oracle(h: Hypergraph, cfg) -> tuple:
             for key in colliding:
                 census[census_type_oracle(classes[key], skews[key], stray_cap)] += 1
     return None, step1, step2, census
+
+
+def repair_labeler_oracle(g: Graph) -> RepairResult:
+    """The earlier ``repair_labeler``, which rescanned every pair of
+    vertices with distinct closed neighborhoods at each step.
+
+    Vertex sum-distinguishing labeling with max label at most xi, by
+    strictly-decreasing bad-pair repair from the all-ones start.
+
+    Fully deterministic: the lexicographically smallest bad pair is
+    repaired, the relabeled vertex is the pair's first element when the
+    two are non-adjacent and otherwise the smallest vertex in the
+    closed-neighborhood symmetric difference, and the smallest
+    admissible new value is used.
+    """
+    n = g.vertex_count
+    if n < 1:
+        raise ValueError("repair needs at least one vertex")
+    xi = s_star_bounds(g).xi
+    closed = [g.closed_neighborhood(v) for v in range(n)]
+    checkable = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if closed[u] != closed[v]
+    ]
+    values = [1] * n
+    steps: list[RepairStep] = []
+    prev_bad: int | None = None
+    max_iterations = n * (n - 1) // 2 + 1
+    for _ in range(max_iterations):
+        sums = closed_sums(g, Labeling(values))
+        bad = [(u, v) for u, v in checkable if sums[u] == sums[v]]
+        if prev_bad is not None:
+            assert len(bad) < prev_bad, "bad-pair count failed to decrease"
+        if not bad:
+            f = Labeling(values)
+            assert is_vertex_sum_distinguishing(g, f) and f.max_label <= xi
+            return RepairResult(f, xi, tuple(steps))
+        prev_bad = len(bad)
+        u, v = bad[0]
+        if v not in g.adjacency[u]:
+            x = u
+        else:
+            x = min(closed[u] ^ closed[v])
+        inside = closed[x]
+        outside = [y for y in range(n) if y not in inside]
+        # forbidden values: the old label, and every t that would equate a
+        # shifted inside sum with an unshifted outside sum
+        forbidden = {values[x]}
+        for y in inside:
+            for y2 in outside:
+                forbidden.add(sums[y2] - sums[y] + values[x])
+        t = next((t for t in range(1, xi + 1) if t not in forbidden), None)
+        assert t is not None, "forbidden set covered the whole label range"
+        steps.append(RepairStep(prev_bad, x, values[x], t))
+        values[x] = t
+    raise AssertionError("repair exceeded the bad-pair iteration bound")
 
 
 def caterpillar_tree(legs) -> Graph:

@@ -10,7 +10,7 @@ from sumlabel import (Graph, ShapeError, is_vertex_sum_distinguishing, leaf_stat
 from sumlabel.hypergraph import Labeling
 
 from helpers import (caterpillar_tree, complete_graph, path_graph, random_graph, random_tree,
-                     spider_tree, star_graph, tree_labeler_oracle)
+                     repair_labeler_oracle, spider_tree, star_graph, tree_labeler_oracle)
 
 
 class TestBounds:
@@ -77,6 +77,19 @@ class TestRepair:
             assert all(a > b for a, b in zip(counts, counts[1:]))
             assert all(1 <= s.new_label <= res.xi and s.new_label != s.old_label
                        for s in res.steps)
+
+    def test_matches_earlier_repair(self):
+        # same labels, xi and steps (bad-pair counts included) as the
+        # version that rescanned every checkable pair at each step
+        rng = Random(109)
+        stepped = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 16), rng.choice((0.0, 0.15, 0.4, 0.7, 0.95)))
+            res, expected = repair_labeler(g), repair_labeler_oracle(g)
+            assert (res.labeling.values, res.xi, res.steps) == (
+                expected.labeling.values, expected.xi, expected.steps)
+            stepped += bool(res.steps)
+        assert stepped >= 100, stepped
 
     def test_deterministic(self):
         g = random_graph(Random(107), 10, 0.5)

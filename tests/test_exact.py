@@ -12,7 +12,7 @@ from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph,
 from sumlabel.exact import DEFAULT_NODE_BUDGET, _static_vertex_order, symmetry_classes
 
 from helpers import (OracleTooLarge, brute_force_decide, brute_force_min_max_label,
-                     complete_graph, complete_hypergraph, exact_search_oracle,
+                     brute_force_s_star, complete_graph, complete_hypergraph, exact_search_oracle,
                      graph_as_hypergraph, oracle_enumerate, path_graph, random_graph,
                      random_hypergraph, star_graph, symmetry_classes_oracle)
 
@@ -173,19 +173,6 @@ class TestExactS:
         assert a.optimum == b.optimum
         assert a.witness.values == b.witness.values
         assert a.nodes_expanded == b.nodes_expanded
-
-
-def brute_force_s_star(g) -> int:
-    from itertools import product
-
-    from sumlabel import Labeling, is_vertex_sum_distinguishing
-
-    cap = 1
-    while True:
-        for values in product(range(1, cap + 1), repeat=g.vertex_count):
-            if is_vertex_sum_distinguishing(g, Labeling(values)):
-                return cap
-        cap += 1
 
 
 class TestExactSStar:

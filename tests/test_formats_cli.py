@@ -16,9 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from sumlabel import Hypergraph, ParseError, ValidationError, constructive, exact
 from sumlabel.cli import main
-from sumlabel.formats import (labeling_payload, parse_graph, parse_hypergraph,
-                              serialize_graph, serialize_hypergraph)
-from sumlabel.hypergraph import Labeling
+from sumlabel.formats import parse_graph, parse_hypergraph, serialize_graph, serialize_hypergraph
 
 from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
                      graph_as_hypergraph, graph_texts, hg_texts, parse_graph_oracle,
@@ -260,11 +258,6 @@ class TestGraphParserAgainstOracle:
         assert _graph_parsed(text) == _graph_oracle_parsed(text) == expected
 
 
-def test_labeling_payload_shape():
-    payload = labeling_payload(Labeling([1, 2]), True, attempts=3)
-    assert payload == {"labels": [1, 2], "max_label": 2, "verified": True, "attempts": 3}
-
-
 @pytest.fixture
 def instances(tmp_path):
     full3 = tmp_path / "full3.hg"
@@ -320,7 +313,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == stdout
         assert captured.err == ("" if code == 1 else
-                                "error: hypergraph needs at least one vertex\n")
+                                "error: hypergraph has no edges, so its dual has no vertices\n")
+
+    @pytest.mark.parametrize("text", ["1 0\n", "3 0\n"])
+    def test_dual_of_edgeless_input_names_the_input(self, capsys, tmp_path, text):
+        path = tmp_path / "instance.hg"
+        path.write_text(text)
+        assert main(["dual", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hypergraph has no edges, so its dual has no vertices\n"
 
     def test_dual_and_irr_print_nothing_on_stderr(self, tmp_path):
         # vertex 2 is uncovered: left out of the dual, with sum 0 under irr
@@ -448,6 +450,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == ""
         assert "verify needs --labels or --labels-file" in captured.err
+
+    def test_verify_rejects_both_label_sources(self, capsys, instances, tmp_path):
+        labels = tmp_path / "labels.json"
+        labels.write_text("[1, 2, 3]")  # fails, where --labels passes
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", str(instances / "full3.hg"), "--labels", "1,2,4",
+                  "--labels-file", str(labels)])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert "verify needs --labels or --labels-file" in captured.err
+
+    @pytest.mark.parametrize("leaf,option", [
+        *[("quadratic", o) for o in ("--C", "--K", "--P", "--step1-budget", "--step2-budget")],
+        ("two-step", "--budget"),
+        *[(leaf, o) for leaf in ("repair", "tree")
+          for o in ("--seed", "--budget", "--C", "--K", "--P", "--step1-budget",
+                    "--step2-budget")],
+    ])
+    def test_label_rejects_options_its_leaf_ignores(self, capsys, instances, leaf, option):
+        file = "rand.hg" if leaf in ("quadratic", "two-step") else "tree.g"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["label", leaf, str(instances / file), option, "2"])
+        assert exit_info.value.code == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [["label", "--seed", "7", "quadratic", "rand.hg"],
+                                      ["solve", "--budget", "5", "s", "full3.hg"]],
+                             ids=["label", "solve"])
+    def test_option_before_the_leaf_name_exits_two(self, capsys, instances, argv):
+        argv = [str(instances / a) if "." in a else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2 and capsys.readouterr().out == ""
 
     def test_verify_labels_file(self, capsys, instances, tmp_path):
         labels = tmp_path / "labels.json"
