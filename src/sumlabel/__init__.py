@@ -23,8 +23,7 @@ from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, Two
 from .transforms import (closed_neighborhood_hypergraph, dual, injective_reduction,
                          open_neighborhood_hypergraph, split_embed)
 from .uniform_sums import (MergeChecks, Pmf, exact_collision_probability, iter_sum_pmfs,
-                           merge_inequality_check, peak_probability_margin, sum_pmf,
-                           window_probability)
+                           merge_inequality_check, peak_probability_margin, sum_pmf)
 
 __version__ = "0.1.0"
 
@@ -44,5 +43,5 @@ __all__ = [
     "peak_probability_margin", "power_of_two_labeling",
     "quadratic_random_labeling", "repair_labeler", "run_experiment", "s_star_bounds",
     "split_embed", "step_one", "step_one_successful", "sum_class_histogram", "sum_pmf",
-    "tree_labeler", "two_step_labeling", "window_probability",
+    "tree_labeler", "two_step_labeling",
 ]

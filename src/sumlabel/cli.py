@@ -31,14 +31,12 @@ from pathlib import Path
 from typing import Any
 
 from . import constructive, exact, formats, generators, randomized, transforms, uniform_sums
-from .errors import (BudgetExhausted, DimensionError, DualDegenerate, EmptyNeighborhood,
-                     InfeasibleParams, ParamsOutOfRange, ParseError, ShapeError,
-                     SumLabelError, TooLarge, ValidationError)
+from .errors import (BudgetExhausted, DualDegenerate, EmptyNeighborhood, InfeasibleParams,
+                     ParamsOutOfRange, ParseError, SumLabelError, TooLarge, ValidationError)
 from .hypergraph import Graph, Labeling, is_distinguishing, is_vertex_sum_distinguishing
 
 DEFAULT_SEED = randomized.DEFAULT_SEED
 
-_USAGE_ERRORS = (ParseError, ValidationError, ShapeError, DimensionError, ValueError)
 _RESULT_ERRORS = (DualDegenerate, BudgetExhausted, EmptyNeighborhood, InfeasibleParams,
                   ParamsOutOfRange, TooLarge)
 _INTERNAL_ERRORS = (AssertionError, RecursionError)
@@ -293,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
 
     p = _file_leaf(sub, "verify", _cmd_verify, "check a labeling against an instance")
-    p.add_argument("--labels", help="comma- or space-separated label values")
-    p.add_argument("--labels-file", help="JSON file with a 'labels' array")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--labels", help="comma- or space-separated label values")
+    source.add_argument("--labels-file", help="JSON file with a 'labels' array")
     p.add_argument("--kind", choices=("auto", "hypergraph", "graph"), default="auto")
 
     return parser
@@ -311,16 +310,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and (args.labels is None) == (args.labels_file is None):
-        parser.error("verify needs --labels or --labels-file, exactly one of them")
+    args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
     except _RESULT_ERRORS as exc:
         _emit(_error_payload(exc), args.format)
         return 1
-    except (*_USAGE_ERRORS, SumLabelError) as exc:
+    except (ValueError, SumLabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _INTERNAL_ERRORS as exc:

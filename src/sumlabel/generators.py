@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import comb, exp, factorial, floor, inf, log, sqrt
 from random import Random
@@ -207,13 +207,7 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_mapping(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind, "measure": self.measure, "seeds": list(self.seeds),
-            "sizes": list(self.sizes), "n_vertices": self.n_vertices,
-            "uniformity": self.uniformity, "edge_probability": self.edge_probability,
-            "edge_count": self.edge_count, "eps": self.eps, "delta": self.delta,
-            "node_budget": self.node_budget, "label_divisor": self.label_divisor,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -235,11 +229,10 @@ class ExperimentReport:
 
 def _instance_for(config: ExperimentConfig, seed: int, size: int | None) -> tuple[Hypergraph, dict]:
     if config.kind == "complete":
-        n = size if size is not None else config.n_vertices
-        if n > 16:
-            raise TooLarge(f"complete hypergraph on {n} vertices has 2**{n}-1 edges")
-        edges = [c for k in range(1, n + 1) for c in combinations(range(n), k)]
-        return Hypergraph(n, edges), {"n": n, "m": len(edges)}
+        if size > 16:
+            raise TooLarge(f"complete hypergraph on {size} vertices has 2**{size}-1 edges")
+        edges = [c for k in range(1, size + 1) for c in combinations(range(size), k)]
+        return Hypergraph(size, edges), {"n": size, "m": len(edges)}
     if config.kind == "runiform":
         h = gen_runiform(config.n_vertices, config.uniformity, config.edge_probability, seed)
         return h, {"n": h.vertex_count, "m": h.edge_count}

@@ -240,31 +240,32 @@ def step_one(h: Hypergraph, cls: PairClassification, cfg: TwoStepConfig,
 
 @dataclass
 class StepOneDiagnostics:
-    special_ok: bool
-    near_ties_ok: bool
+    """The step-one check of one draw: P(e) of every edge, the tied
+    special pairs in lexicographic order, and the count of near ties
+    among newly dangerous pairs with its allowance m**2 * e**(-4C)."""
+
+    popular_sums: list[int]
     special_violations: list[tuple[int, int]]
     near_tie_count: int
     near_tie_allowance: float
 
     @property
     def ok(self) -> bool:
-        return self.special_ok and self.near_ties_ok
+        return not self.special_violations and self.near_tie_count <= self.near_tie_allowance
 
 
 def step_one_successful(h: Hypergraph, cls: PairClassification, cfg: TwoStepConfig,
-                        partial: dict[int, int]) -> tuple[bool, StepOneDiagnostics]:
+                        partial: dict[int, int]) -> StepOneDiagnostics:
     """Check the two step-one success conditions.
 
     (1) every special pair has nonzero popular-side skew, and (2) at most
     m**2 * e**(-4C) newly dangerous pairs have |skew| <= stray_limit * N.
     Since the skew of (e, e') is P(e) - P(e') and special pairs are the
     pairs inside a stray group, (1) says the P values within each group
-    are distinct.  ``special_violations`` lists the tied pairs in
-    lexicographic order.
+    are distinct.
     """
     m = h.edge_count
-    cap = cfg.label_cap(m)
-    stray_cap = cfg.stray_limit * cap
+    stray_cap = cfg.stray_limit * cfg.label_cap(m)
     popular_sums = cls.popular_sums(partial)
     violations: list[tuple[int, int]] = []
     for group in cls.special_groups:
@@ -276,15 +277,8 @@ def step_one_successful(h: Hypergraph, cls: PairClassification, cfg: TwoStepConf
     violations.sort()
     near_ties = sum(1 for i, j in cls.newly_dangerous
                     if abs(popular_sums[i] - popular_sums[j]) <= stray_cap)
-    allowance = m * m * exp(-4.0 * cfg.label_divisor)
-    diag = StepOneDiagnostics(
-        special_ok=not violations,
-        near_ties_ok=near_ties <= allowance,
-        special_violations=violations,
-        near_tie_count=near_ties,
-        near_tie_allowance=allowance,
-    )
-    return diag.ok, diag
+    return StepOneDiagnostics(popular_sums, violations, near_ties,
+                              m * m * exp(-4.0 * cfg.label_divisor))
 
 
 @dataclass
@@ -353,31 +347,29 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     while step1_attempts < cfg.step1_budget:
         step1_attempts += 1
         partial = step_one(h, cls, cfg, rng)
-        ok, _ = step_one_successful(h, cls, cfg, partial)
-        if not ok:
+        diag = step_one_successful(h, cls, cfg, partial)
+        if not diag.ok:
             continue
-        popular_sums = cls.popular_sums(partial)
+        popular_sums = diag.popular_sums
         high_skew = [(i, j) for i, j in cls.newly_dangerous
                      if abs(popular_sums[i] - popular_sums[j]) > stray_cap]
+        values = [partial.get(v, 0) for v in range(n)]
         # with no free vertices, redrawing step two cannot change anything
-        inner_budget = cfg.step2_budget if free else 1
-        for _ in range(inner_budget):
+        for _ in range(cfg.step2_budget if free else 1):
             step2_attempts += 1
-            values = dict(partial)
             for v in free:
                 values[v] = rng.randint(1, cap)
-            f = Labeling(values[v] for v in range(n))
-            sums = tuple(sum(f.values[v] for v in e) for e in edges)
+            sums = tuple(sum(values[v] for v in e) for e in edges)
             _check_protected(sums, popular_sums, cls, high_skew)
             groups: dict[int, list[int]] = {}
             for idx, s in enumerate(sums):
                 groups.setdefault(s, []).append(idx)
             colliding = [g for g in groups.values() if len(g) > 1]
             if not colliding:
-                result = TwoStepResult(f, cap, step1_attempts, step2_attempts,
-                                       len(cls.popular), len(free), census)
+                f = Labeling(values)
                 assert is_distinguishing(h, f) and f.max_label <= cap
-                return result
+                return TwoStepResult(f, cap, step1_attempts, step2_attempts,
+                                     len(cls.popular), len(free), census)
             for g in colliding:
                 for x, y in combinations(g, 2):
                     skew = popular_sums[x] - popular_sums[y]

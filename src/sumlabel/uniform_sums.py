@@ -215,11 +215,6 @@ def peak_probability_margin(ell: int, n_values: int, c: float) -> float:
     return float(peak) * n_values * scale / 5.0
 
 
-def window_probability(summands: int, n_values: int, lo: int, hi: int) -> Fraction:
-    """Exact Pr[lo <= sum <= hi] for a sum of i.i.d. uniforms on [n_values]."""
-    return sum_pmf(summands, n_values).window(lo, hi)
-
-
 class MergeChecks(NamedTuple):
     conv1_holds: bool
     decrease_holds: bool

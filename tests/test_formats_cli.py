@@ -449,7 +449,7 @@ class TestCli:
             main(["verify", str(instances / "full3.hg")])
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == ""
-        assert "verify needs --labels or --labels-file" in captured.err
+        assert "one of the arguments --labels --labels-file is required" in captured.err
 
     def test_verify_rejects_both_label_sources(self, capsys, instances, tmp_path):
         labels = tmp_path / "labels.json"
@@ -459,7 +459,7 @@ class TestCli:
                   "--labels-file", str(labels)])
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == ""
-        assert "verify needs --labels or --labels-file" in captured.err
+        assert "argument --labels-file: not allowed with argument --labels" in captured.err
 
     @pytest.mark.parametrize("leaf,option", [
         *[("quadratic", o) for o in ("--C", "--K", "--P", "--step1-budget", "--step2-budget")],

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumlabel import (TooLarge, exact_collision_probability, iter_sum_pmfs,
-                      merge_inequality_check, peak_probability_margin, sum_pmf,
-                      window_probability)
+                      merge_inequality_check, peak_probability_margin, sum_pmf)
 from sumlabel.uniform_sums import Pmf
 
 from helpers import binomial_tail_le_one, sum_pmf_family_oracle, sum_pmf_oracle
@@ -171,7 +170,7 @@ class TestPeakMargin:
 
 class TestWindow:
     def test_full_support(self):
-        assert window_probability(5, 6, 0, 10**9) == 1
+        assert sum_pmf(5, 6).window(0, 10**9) == 1
 
     def test_empty_tail(self):
         # support of 8 summands on [10] is [8, 80]; both tails past 40 are empty
