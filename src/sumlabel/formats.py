@@ -3,8 +3,8 @@
 Hypergraph (".hg"): first line "n m", then m lines "k v_1 ... v_k".
 Graph (".g"): first line "n m", then m lines "u v".
 All tokens are whitespace-separated ASCII decimals; vertex indices are
-0-based.  Serialization is canonical (edges in stored order, vertices
-sorted within an edge), so parse(serialize(x)) == x.
+0-based.  Hypergraph serialization is canonical (edges in stored order,
+vertices sorted within an edge), so parsing it gives the hypergraph back.
 
 Both parsers read the text in whole-list passes over one flat list of
 integers (:func:`_read_rows`) and check only the format: header, number
@@ -141,10 +141,3 @@ def parse_graph(text: str) -> Graph:
     if repeated < int_edges:
         raise ParseError("graph edge line must be 'u v'", lineno)
     raise _non_integer(text, lineno)
-
-
-def serialize_graph(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"

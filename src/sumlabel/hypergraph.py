@@ -119,9 +119,6 @@ class Graph:
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.adjacency[v] | {v}
 

@@ -12,6 +12,9 @@ newly dangerous pairs are rare, then step two draws the remaining
 labels until verification succeeds.  Both procedures only ever return
 verified labelings; the probabilistic analysis is replaced by
 verify-and-retry, so budgets, not tail bounds, are the failure mode.
+A successful step one rules out ties of type (a) and (b) pairs for every
+step-two draw, so such a tie is an internal error; the collision census
+of a failed verification checks for it.
 
 The two-step labeler builds no per-pair objects.  With P(e) the sum of
 the popular labels in e and stray(e) = e minus the popular set, two
@@ -299,31 +302,15 @@ class TwoStepResult:
     collision_census: dict[str, int] = field(default_factory=dict)
 
 
-def _check_protected(sums: tuple[int, ...], popular_sums: list[int], cls: PairClassification,
-                     high_skew: list[tuple[int, int]]) -> None:
-    """After a successful step one, the edges of a special group share
-    their free part, so their sums differ by exactly their P values and
-    are distinct, and high-skew newly dangerous pairs cannot tie; these
-    facts are label-independent, so a violation is an internal error."""
-    for group in cls.special_groups:
-        if len({sums[i] - popular_sums[i] for i in group}) != 1:
-            raise AssertionError(f"special group {group}: sum gaps do not equal their skews")
-        if len({sums[i] for i in group}) != len(group):
-            raise AssertionError(f"special group {group} collided after a successful step one")
-    for i, j in high_skew:
-        if sums[i] == sums[j]:
-            raise AssertionError(
-                f"high-skew newly dangerous pair {(i, j)} collided after a successful step one"
-            )
-
-
 def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoStepResult:
     """Verified distinguishing labeling with max label at most ceil(m**2/C).
 
     Step one is redrawn until successful (at most step1_budget draws in
     total); after each success, step two draws the non-popular labels up
     to step2_budget times and verifies.  The colliding pairs of every
-    failed verification are tallied by type in ``collision_census``.
+    failed verification are tallied by type in ``collision_census``; a
+    colliding pair of type (a) or (b) after a successful step one is an
+    internal error and raises :class:`AssertionError` from that census.
     Raises :class:`BudgetExhausted` (census attached) if the budgets run
     out.  Works on per-edge quantities only, in O(n + m) memory plus the
     newly dangerous pairs.
@@ -351,8 +338,6 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
         if not diag.ok:
             continue
         popular_sums = diag.popular_sums
-        high_skew = [(i, j) for i, j in cls.newly_dangerous
-                     if abs(popular_sums[i] - popular_sums[j]) > stray_cap]
         values = [partial.get(v, 0) for v in range(n)]
         # with no free vertices, redrawing step two cannot change anything
         for _ in range(cfg.step2_budget if free else 1):
@@ -360,7 +345,6 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
             for v in free:
                 values[v] = rng.randint(1, cap)
             sums = tuple(sum(values[v] for v in e) for e in edges)
-            _check_protected(sums, popular_sums, cls, high_skew)
             groups: dict[int, list[int]] = {}
             for idx, s in enumerate(sums):
                 groups.setdefault(s, []).append(idx)
@@ -373,7 +357,14 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
             for g in colliding:
                 for x, y in combinations(g, 2):
                     skew = popular_sums[x] - popular_sums[y]
-                    census[_type_of(*cls.pair_flags(x, y), skew, stray_cap)] += 1
+                    kind = _type_of(*cls.pair_flags(x, y), skew, stray_cap)
+                    # the edges of a special pair share their free part, so
+                    # their sums differ by the nonzero skew; a type (b) skew
+                    # exceeds any gap the free labels can close
+                    if kind in ("a", "b"):
+                        raise AssertionError(f"type ({kind}) pair {(x, y)} collided "
+                                             "after a successful step one")
+                    census[kind] += 1
     raise BudgetExhausted(
         f"two-step labeler exhausted budgets (step1={step1_attempts}, step2={step2_attempts})",
         detail={"collision_census": census, "step1_attempts": step1_attempts,

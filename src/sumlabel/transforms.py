@@ -27,9 +27,8 @@ def dual(h: Hypergraph) -> Hypergraph:
         raise ValidationError("hypergraph has no edges, so its dual has no vertices")
     try:
         return Hypergraph(h.edge_count, [inc for inc in h.incidence if inc])
-    except ValidationError as exc:
-        if exc.first is None:
-            raise
+    except ValidationError:
+        pass  # the only fault left is a duplicate edge
     groups: dict[frozenset[int], list[int]] = {}
     for v, inc in enumerate(h.incidence):
         if inc:

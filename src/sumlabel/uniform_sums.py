@@ -81,11 +81,6 @@ class Pmf:
     def denominator(self) -> int:
         return self.n_values**self.summands
 
-    @property
-    def mean_times_two(self) -> int:
-        """2 * E[sum]; kept integral because the mean may be a half-integer."""
-        return self.summands * (self.n_values + 1)
-
     def prob(self, t: int) -> Fraction:
         if t < self.support_base or t > self.support_max:
             return Fraction(0)

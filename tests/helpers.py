@@ -75,6 +75,14 @@ def graph_as_hypergraph(g: Graph) -> Hypergraph:
     return Hypergraph(g.vertex_count, sorted(g.edges))
 
 
+def serialize_graph(g: Graph) -> str:
+    """The ".g" text of g, edges in sorted order."""
+    lines = [f"{g.vertex_count} {g.edge_count}"]
+    for u, v in sorted(g.edges):
+        lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
 def random_graph(rng: Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

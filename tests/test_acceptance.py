@@ -162,7 +162,7 @@ def test_criterion_08_two_step_labeler():
         cfg = TwoStepConfig(label_divisor=3.0, dangerous_cutoff=64, stray_limit=16,
                             seed=i, step1_budget=1000, step2_budget=1000)
         try:
-            res = two_step_labeling(h, cfg)  # protected-pair checks run every attempt
+            res = two_step_labeling(h, cfg)  # protected-pair check runs on every collision
         except AssertionError as exc:
             failures.append((i, f"protected-pair check fired: {exc}"))
             continue

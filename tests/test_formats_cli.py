@@ -16,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from sumlabel import Hypergraph, ParseError, ValidationError, constructive, exact
 from sumlabel.cli import main
-from sumlabel.formats import parse_graph, parse_hypergraph, serialize_graph, serialize_hypergraph
+from sumlabel.formats import parse_graph, parse_hypergraph, serialize_hypergraph
 
 from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
                      graph_as_hypergraph, graph_texts, hg_texts, parse_graph_oracle,
                      parse_hypergraph_oracle, path_graph, random_graph, random_hypergraph,
-                     random_tree, star_graph)
+                     random_tree, serialize_graph, star_graph)
 
 
 class TestHypergraphFormat:

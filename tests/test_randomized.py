@@ -1,5 +1,6 @@
 """Randomized labelers: pair classification, step conditions, retry loops."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -11,7 +12,7 @@ import pytest
 
 from sumlabel import (BudgetExhausted, Hypergraph, TwoStepConfig, classify_edges,
                       exact_collision_probability, is_distinguishing,
-                      quadratic_random_labeling, step_one, step_one_successful,
+                      quadratic_random_labeling, randomized, step_one, step_one_successful,
                       two_step_labeling)
 from sumlabel.randomized import PAIR_TYPES
 
@@ -257,6 +258,16 @@ class TestTwoStep:
             two_step_labeling(h, cfg)
         assert set(err.value.detail["collision_census"]) == set(PAIR_TYPES)
 
+    def test_protected_pair_tie_is_internal_error(self, monkeypatch):
+        # a step-one check that waves every draw through: labels in [2] on
+        # vertices 0-2 always tie two P values of the one special group
+        real = randomized.step_one_successful
+        monkeypatch.setattr(randomized, "step_one_successful", lambda *args: dataclasses.replace(
+            real(*args), special_violations=[], near_tie_count=0))
+        h = Hypergraph(3, [{0}, {1}, {0, 1}, {2}])
+        with pytest.raises(AssertionError, match="collided after a successful step one"):
+            two_step_labeling(h, TwoStepConfig(label_divisor=15.0))
+
 
 def small_cutoff_configs(seed: int, count: int):
     """Seeded small instances with small K, where special, dangerous,
@@ -323,6 +334,7 @@ class TestAgainstPairOracle:
         for _, h, cfg in small_cutoff_configs(103, 150):
             got = labeler_outcome(h, cfg)
             assert got == two_step_oracle(h, cfg)
+            assert got[3]["a"] == got[3]["b"] == 0
             outcomes[got[0] is None] += 1
         assert outcomes[True] and outcomes[False]
         # the default constants at the benchmark's scale, where every
@@ -331,7 +343,9 @@ class TestAgainstPairOracle:
         for m in (40, 80, 120):
             h = random_hypergraph(rng, m, m, max_size=10)
             cfg = TwoStepConfig(seed=rng.randrange(2**32))
-            assert labeler_outcome(h, cfg) == two_step_oracle(h, cfg)
+            got = labeler_outcome(h, cfg)
+            assert got == two_step_oracle(h, cfg)
+            assert got[3]["a"] == got[3]["b"] == 0
 
     @pytest.mark.parametrize("name,flags", [("c", (4, 3, 0.5, 194)), ("e", (3, 2, 0.4, 160)),
                                             ("d", (4, 3, 0.5, 155)), ("retry", (4, 3, 0.5, 80))])

@@ -163,7 +163,7 @@ class TestOpenNeighborhoods:
             comp = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                              if (u, v) not in g.edges])
             for v in range(n):
-                assert g.neighbors(v) == set(range(n)) - comp.closed_neighborhood(v)
+                assert g.adjacency[v] == set(range(n)) - comp.closed_neighborhood(v)
 
 
 class TestSplitEmbed:

@@ -52,7 +52,7 @@ class TestSumPmf:
         for n in range(1, 13):
             for pmf in iter_sum_pmfs(n, 12):
                 c = pmf.counts
-                mean2 = pmf.mean_times_two
+                mean2 = pmf.summands * (pmf.n_values + 1)
                 for i, t in enumerate(range(pmf.support_base, pmf.support_max + 1)):
                     assert c[i] == c[mean2 - t - pmf.support_base]
                     if 2 * t >= mean2 and t < pmf.support_max:
