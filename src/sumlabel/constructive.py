@@ -5,19 +5,20 @@ vertex so that the number of bad pairs (distinct closed neighborhoods,
 equal sums) strictly decreases; the relabeled value avoids every sum
 equation that could create a new bad pair, and the degree bound xi =
 max_v (n - d(v) - 1)(d(v) + 1) + 2 always leaves an admissible value.
+Each step reads that value off a bitmask of the forbidden labels, built
+from one shift of the outside sums per distinct inside sum.
 
 ``tree_labeler`` peels leaves off a maximum-leaf-degree vertex down to a
 star, labels the star directly, and reattaches each leaf with the
 smallest value avoiding all collision equations, staying within
 2n - 2 - L where L is the maximum number of leaves on one vertex.  The
-peel takes O(n log n) and the re-insertion O(n + sum of the labels) dict
-lookups.
+peel takes O(n log n); each re-insertion reads two windows of a bitset of
+the closed sums, O(n) bytes of C-level work and O(1) Python steps.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -57,6 +58,28 @@ def s_star_bounds(g: Graph) -> DegreeBoundsReport:
     return DegreeBoundsReport(n_distinct, dmin, dmax, xi, lower, (dmax + 1) * n)
 
 
+def _bitset(positions: list[int]) -> bytearray:
+    """Little-endian bitset with the given bit positions set."""
+    bits = bytearray((max(positions, default=0) >> 3) + 1)
+    for p in positions:
+        bits[p >> 3] |= 1 << (p & 7)
+    return bits
+
+
+def _set_bit(bits: bytearray, p: int) -> None:
+    i = p >> 3
+    if i >= len(bits):
+        bits.extend(bytes(i + 1 - len(bits)))
+    bits[i] |= 1 << (p & 7)
+
+
+def _window(bits: bytearray, start: int, width: int) -> int:
+    """Bits start .. start + width - 1 of the bitset as an int (bit i is
+    bit start + i), read in O(width / 8) bytes."""
+    chunk = int.from_bytes(bits[start >> 3:(start + width + 7) >> 3], "little")
+    return chunk >> (start & 7) & ((1 << width) - 1)
+
+
 @dataclass(frozen=True)
 class RepairStep:
     bad_pairs_before: int
@@ -81,6 +104,12 @@ def repair_labeler(g: Graph) -> RepairResult:
     two are non-adjacent and otherwise the smallest vertex in the
     closed-neighborhood symmetric difference, and the smallest
     admissible new value is used.
+
+    The closed sums are kept up to date (relabeling x moves those of
+    N[x] only), and the new value is the lowest clear bit of the
+    forbidden mask: besides listing the tied pairs, a step costs O(n)
+    Python operations and at most |N[x]| shifts of an int as wide as
+    the largest sum.
     """
     n = g.vertex_count
     if n < 1:
@@ -91,8 +120,8 @@ def repair_labeler(g: Graph) -> RepairResult:
     steps: list[RepairStep] = []
     prev_bad: int | None = None
     max_iterations = n * (n - 1) // 2 + 1
+    sums = list(closed_sums(g, Labeling(values)))
     for _ in range(max_iterations):
-        sums = closed_sums(g, Labeling(values))
         # a bad pair ties on its closed sum, so look for them only inside
         # the groups of tied vertices
         tied: dict[int, list[int]] = {}
@@ -112,17 +141,21 @@ def repair_labeler(g: Graph) -> RepairResult:
             x = u
         else:
             x = min(closed[u] ^ closed[v])
+        # forbidden values, as bits: the old label, and every t that would
+        # equate a shifted inside sum with an unshifted outside sum, i.e.
+        # bit t of outside >> (sums[y] - values[x]) for y inside; each shift
+        # is >= 0 because x is in N[y].  Bit 0 stands for no label.
         inside = closed[x]
-        outside = [y for y in range(n) if y not in inside]
-        # forbidden values: the old label, and every t that would equate a
-        # shifted inside sum with an unshifted outside sum
-        forbidden = {values[x]}
-        for y in inside:
-            for y2 in outside:
-                forbidden.add(sums[y2] - sums[y] + values[x])
-        t = next((t for t in range(1, xi + 1) if t not in forbidden), None)
-        assert t is not None, "forbidden set covered the whole label range"
+        outside = int.from_bytes(
+            _bitset([sums[y] for y in range(n) if y not in inside]), "little")
+        forbidden = 1 << values[x] | 1
+        for shift in {sums[y] - values[x] for y in inside}:
+            forbidden |= outside >> shift
+        t = (~forbidden & (forbidden + 1)).bit_length() - 1
+        assert t <= xi, "forbidden set covered the whole label range"
         steps.append(RepairStep(prev_bad, x, values[x], t))
+        for y in inside:  # relabeling x moves the sums of N[x] only
+            sums[y] += t - values[x]
         values[x] = t
     raise AssertionError("repair exceeded the bad-pair iteration bound")
 
@@ -181,9 +214,11 @@ def tree_labeler(t: Graph) -> Labeling:
 
     The peel takes O(n log n): leaf counts, the number of non-leaf
     vertices and the heaps that pick the next anchor and leaf are
-    updated per removal, not rescanned.  Re-insertion takes O(n + sum
-    of the labels) dict lookups: it keeps the closed sums and their
-    counts up to date and tests each candidate value against them.
+    updated per removal, not rescanned.  Re-insertion keeps the closed
+    sums up to date, with the set of sums held as a bitset; each leaf's
+    label is the lowest clear bit of two cap-wide windows of that bitset,
+    so a re-insertion costs O(1) Python steps and O(n) bytes read, however
+    large a hub's sum grows.
     """
     _check_tree(t)
     n = t.vertex_count
@@ -231,24 +266,29 @@ def tree_labeler(t: Graph) -> Labeling:
     sums = [0] * n
     for w in star_vertices:
         sums[w] = values[w] + sum(values[x] for x in adj[w])
-    sum_count = Counter(sums[w] for w in star_vertices)
+    # For n >= 3 the closed sums stay pairwise distinct: the star has at
+    # least two leaves, and each re-insertion below gives v and u sums no
+    # other vertex holds (and v's is below u's).  So a set of sums, kept as
+    # a bitset, says who holds what.
+    occupied = _bitset([sums[w] for w in star_vertices])
 
     for v, u, cap in reversed(removals):
         # Labeling v with x gives v the closed sum values[u] + x and raises
         # sums[u] by x; no other sum moves.  Reject x when another vertex
-        # already holds either new sum (u itself may hold the first).  No
-        # leaf w of u holds the second: values[w] + values[u] <= sums[u].
+        # already holds either new sum, so u's own sum leaves the bitset
+        # first.  No leaf w of u holds the second: values[w] + values[u] <=
+        # sums[u].  Bit x of each window stands for label x; bit 0 for none.
         value_u, sum_u = values[u], sums[u]
-        value = next((x for x in range(1, cap + 1)
-                      if sum_count[value_u + x] == (sum_u == value_u + x)
-                      and not sum_count[sum_u + x]), None)
-        assert value is not None, "no admissible label within the tree bound"
+        occupied[sum_u >> 3] &= ~(1 << (sum_u & 7))
+        blocked = (_window(occupied, value_u, cap + 1)
+                   | _window(occupied, sum_u, cap + 1) | 1)
+        value = (~blocked & (blocked + 1)).bit_length() - 1
+        assert value <= cap, "no admissible label within the tree bound"
         values[v] = value
-        sum_count[sum_u] -= 1
         sums[u] = sum_u + value
         sums[v] = value_u + value
-        sum_count[sums[u]] += 1
-        sum_count[sums[v]] += 1
+        _set_bit(occupied, sums[u])
+        _set_bit(occupied, sums[v])
 
     f = Labeling(values)
     assert is_vertex_sum_distinguishing(t, f)

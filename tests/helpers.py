@@ -496,6 +496,13 @@ def spider_tree(lengths) -> Graph:
     return Graph(nxt, edges)
 
 
+def broom_tree(path_length: int, leaves: int) -> Graph:
+    """Path 0 - 1 - ... - path_length-1 with ``leaves`` extra leaves on
+    vertex 0, the hub."""
+    n = path_length + leaves
+    return Graph(n, [(i, i + 1) for i in range(path_length - 1)]
+                 + [(0, w) for w in range(path_length, n)])
+
 def _oracle_leaf_stat_from_adj(adj: dict[int, set[int]]) -> tuple[int, int]:
     best_v, best_count = -1, -1
     for v in sorted(adj):

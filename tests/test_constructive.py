@@ -9,8 +9,9 @@ from sumlabel import (Graph, ShapeError, is_vertex_sum_distinguishing, leaf_stat
                       repair_labeler, s_star_bounds, tree_labeler)
 from sumlabel.hypergraph import Labeling
 
-from helpers import (caterpillar_tree, complete_graph, path_graph, random_graph, random_tree,
-                     repair_labeler_oracle, spider_tree, star_graph, tree_labeler_oracle)
+from helpers import (broom_tree, caterpillar_tree, complete_graph, path_graph, random_graph,
+                     random_tree, repair_labeler_oracle, spider_tree, star_graph,
+                     tree_labeler_oracle)
 
 
 class TestBounds:
@@ -78,6 +79,13 @@ class TestRepair:
             assert all(1 <= s.new_label <= res.xi and s.new_label != s.old_label
                        for s in res.steps)
 
+    @staticmethod
+    def _assert_matches_oracle(g):
+        res, expected = repair_labeler(g), repair_labeler_oracle(g)
+        assert (res.labeling.values, res.xi, res.steps) == (
+            expected.labeling.values, expected.xi, expected.steps)
+        return res
+
     def test_matches_earlier_repair(self):
         # same labels, xi and steps (bad-pair counts included) as the
         # version that rescanned every checkable pair at each step
@@ -85,11 +93,34 @@ class TestRepair:
         stepped = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 16), rng.choice((0.0, 0.15, 0.4, 0.7, 0.95)))
-            res, expected = repair_labeler(g), repair_labeler_oracle(g)
-            assert (res.labeling.values, res.xi, res.steps) == (
-                expected.labeling.values, expected.xi, expected.steps)
-            stepped += bool(res.steps)
+            stepped += bool(self._assert_matches_oracle(g).steps)
         assert stepped >= 100, stepped
+
+    def test_matches_earlier_repair_with_isolated_vertices(self):
+        # an isolated vertex x has N[x] = {x}, so the forbidden mask is the
+        # outside sums shifted by 0
+        rng = Random(113)
+        relabeled_isolated = 0
+        for _ in range(150):
+            n, extra = rng.randint(0, 12), rng.randint(1, 5)
+            core = random_graph(rng, n, rng.choice((0.2, 0.5, 0.9)))
+            g = Graph(n + extra, core.edges)
+            res = self._assert_matches_oracle(g)
+            relabeled_isolated += any(s.vertex >= n for s in res.steps)
+        assert relabeled_isolated >= 30, relabeled_isolated
+
+    def test_matches_earlier_repair_on_disconnected_graphs(self):
+        rng = Random(127)
+        stepped = 0
+        for _ in range(150):
+            parts = [random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.6, 1.0)))
+                     for _ in range(rng.randint(2, 4))]
+            edges, offset = [], 0
+            for part in parts:
+                edges += [(a + offset, b + offset) for a, b in part.edges]
+                offset += part.vertex_count
+            stepped += bool(self._assert_matches_oracle(Graph(offset, edges)).steps)
+        assert stepped >= 50, stepped
 
     def test_deterministic(self):
         g = random_graph(Random(107), 10, 0.5)
@@ -167,7 +198,7 @@ class TestTreeLabeler:
 
 
 def _oracle_trees(family):
-    """Seeded trees of one shape; 3,038 over all families."""
+    """Seeded trees of one shape; 3,188 over all families."""
     rng = Random(f"tree-oracle-{family}")
     if family == "random_small":
         return [random_tree(rng, rng.randint(2, 60)) for _ in range(2400)]
@@ -177,6 +208,8 @@ def _oracle_trees(family):
         return [path_graph(n) for n in range(2, 151)]
     if family == "star":
         return [star_graph(n) for n in range(2, 151)]
+    if family == "broom":
+        return [broom_tree(rng.randint(1, 40), rng.randint(1, 60)) for _ in range(150)]
     if family == "caterpillar":
         return [caterpillar_tree([rng.randint(0, 4) for _ in range(rng.randint(2, 30))])
                 for _ in range(150)]
@@ -189,7 +222,7 @@ class TestTreeLabelerAgainstOracle:
     """The incremental labeler must make the oracle's choice at every step."""
 
     @pytest.mark.parametrize("family", ["random_small", "random_large", "path", "star",
-                                        "caterpillar", "spider"])
+                                        "broom", "caterpillar", "spider"])
     def test_same_labels_as_oracle(self, family):
         for t in _oracle_trees(family):
             assert tree_labeler(t).values == tree_labeler_oracle(t)
@@ -209,24 +242,46 @@ class TestTreeLabelerAgainstOracle:
             t = spider_tree(lengths)
             assert tree_labeler(t).values == tree_labeler_oracle(t), lengths
 
+    def test_leaf_takes_the_anchors_old_sum(self):
+        # the path 2 - 0 - 3 - 4 - 1: leaf 2 comes back last, on anchor 0,
+        # whose closed sum is then values[0] + values[3].  Label 2 gives
+        # leaf 2 that very sum, which is free because 0's sum moves up.
+        t = Graph(5, [(0, 2), (0, 3), (1, 4), (3, 4)])
+        f = tree_labeler(t)
+        assert f.values == tree_labeler_oracle(t) == (3, 1, 2, 2, 1)
+        assert f.values[0] + f.values[2] == f.values[0] + f.values[3]
+
 
 class TestTreeLabelerScale:
-    @pytest.mark.parametrize("shape", ["random", "path", "caterpillar"])
-    def test_five_thousand_vertices(self, shape):
-        if shape == "random":
-            t = random_tree(Random(5000), 5000)
-        elif shape == "path":
-            t = path_graph(5000)
-        else:
-            t = caterpillar_tree([i % 4 for i in range(2000)])
+    @staticmethod
+    def _assert_labeled_in_time(t):
         n = t.vertex_count
-        assert n == 5000
         start = time.perf_counter()
         f = tree_labeler(t)
         elapsed = time.perf_counter() - start
         assert is_vertex_sum_distinguishing(t, f)
         assert f.max_label <= 2 * n - 2 - leaf_stat(t).max_leaf_neighbors
         assert elapsed < 10.0
+
+    @pytest.mark.parametrize("shape", ["random", "path", "caterpillar", "broom"])
+    def test_five_thousand_vertices(self, shape):
+        if shape == "random":
+            t = random_tree(Random(5000), 5000)
+        elif shape == "path":
+            t = path_graph(5000)
+        elif shape == "caterpillar":
+            t = caterpillar_tree([i % 4 for i in range(2000)])
+        else:
+            # the hub's leaves come back last, onto a closed sum that has
+            # grown far beyond 2n
+            t = broom_tree(2500, 2500)
+        assert t.vertex_count == 5000
+        self._assert_labeled_in_time(t)
+
+    def test_twenty_thousand_vertex_random_tree(self):
+        t = random_tree(Random(20000), 20000)
+        assert t.vertex_count == 20000
+        self._assert_labeled_in_time(t)
 
 
 def test_repair_rejects_empty_vertex_set():

@@ -14,14 +14,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumlabel import Hypergraph, ParseError, ValidationError, constructive, exact
+from sumlabel import Graph, Hypergraph, ParseError, ValidationError, constructive, exact
 from sumlabel.cli import main
 from sumlabel.formats import parse_graph, parse_hypergraph, serialize_hypergraph
 
-from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_hypergraph,
-                     graph_as_hypergraph, graph_texts, hg_texts, parse_graph_oracle,
-                     parse_hypergraph_oracle, path_graph, random_graph, random_hypergraph,
-                     random_tree, serialize_graph, star_graph)
+from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_graph,
+                     complete_hypergraph, graph_as_hypergraph, graph_texts, hg_texts,
+                     parse_graph_oracle, parse_hypergraph_oracle, path_graph, random_graph,
+                     random_hypergraph, random_tree, serialize_graph, star_graph)
 
 
 class TestHypergraphFormat:
@@ -780,6 +780,35 @@ def test_label_tree_golden_stdout(capsys, tmp_path, name, build, expected):
     path = tmp_path / f"{name}.g"
     path.write_text(serialize_graph(build()))
     assert main(["label", "tree", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# `label repair` stdout on fixed graphs, recorded before the repair step
+# read its label off a bitmask: same labels, xi and step count.
+GOLDEN_REPAIR_RUNS = [
+    ("path3", lambda: path_graph(3),
+     '{"iterations": 1, "labels": [2, 1, 1], "max_label": 2, "verified": true, "xi": 4}\n'),
+    ("clique4", lambda: complete_graph(4),
+     '{"iterations": 0, "labels": [1, 1, 1, 1], "max_label": 1, "verified": true, "xi": 2}\n'),
+    ("isolated", lambda: Graph(7, [(0, 1), (1, 2), (2, 3)]),
+     '{"iterations": 3, "labels": [3, 1, 1, 1, 6, 7, 1], "max_label": 7, "verified": true, '
+     '"xi": 14}\n'),
+    ("disconnected", lambda: Graph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7)]),
+     '{"iterations": 3, "labels": [2, 1, 1, 4, 1, 2, 1, 1, 1], "max_label": 4, '
+     '"verified": true, "xi": 20}\n'),
+    ("random40", lambda: random_graph(Random(40), 40, 0.3),
+     '{"iterations": 7, "labels": [10, 25, 60, 20, 50, 8, 1, 1, 1, 1, 1, 1, 1, 1, 33, 1, 1, '
+     '1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "max_label": 60, '
+     '"verified": true, "xi": 398}\n'),
+]
+
+
+@pytest.mark.parametrize("name,build,expected", GOLDEN_REPAIR_RUNS,
+                         ids=[run[0] for run in GOLDEN_REPAIR_RUNS])
+def test_label_repair_golden_stdout(capsys, tmp_path, name, build, expected):
+    path = tmp_path / f"{name}.g"
+    path.write_text(serialize_graph(build()))
+    assert main(["label", "repair", str(path)]) == 0
     assert capsys.readouterr().out == expected
 
 
