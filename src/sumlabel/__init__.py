@@ -7,21 +7,19 @@ tools, and seeded instance generators, with a CLI front end.
 
 from .constructive import (DegreeBoundsReport, LeafStat, RepairResult, leaf_stat,
                            repair_labeler, s_star_bounds, tree_labeler)
-from .errors import (BudgetExhausted, DimensionError, DualDegenerate, EmptyNeighborhood,
-                     InfeasibleParams, ParamsOutOfRange, ParseError, ShapeError,
-                     SumLabelError, TooLarge, ValidationError)
-from .exact import SolveResult, decide_labeling, exact_irr, exact_s, exact_s_star
+from .errors import (BudgetExhausted, DimensionError, DualDegenerate, InfeasibleParams,
+                     ParamsOutOfRange, ParseError, ShapeError, SumLabelError, TooLarge,
+                     ValidationError)
+from .exact import SolveResult, exact_irr, exact_s, exact_s_star
 from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
                          LowerBoundParams, gen_runiform, lower_bound_instance,
-                         lower_bound_params, run_experiment, sum_class_histogram)
+                         lower_bound_params, run_experiment)
 from .hypergraph import (Graph, Hypergraph, Labeling, closed_neighborhood_groups, closed_sums,
-                         edge_sums, is_distinguishing, is_vertex_sum_distinguishing,
-                         power_of_two_labeling)
+                         edge_sums, is_distinguishing, is_vertex_sum_distinguishing)
 from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, TwoStepResult,
                          classify_edges, quadratic_random_labeling, step_one,
                          step_one_successful, two_step_labeling)
-from .transforms import (closed_neighborhood_hypergraph, dual, injective_reduction,
-                         open_neighborhood_hypergraph, split_embed)
+from .transforms import closed_neighborhood_hypergraph, dual
 from .uniform_sums import (MergeChecks, Pmf, exact_collision_probability, iter_sum_pmfs,
                            merge_inequality_check, peak_probability_margin, sum_pmf)
 
@@ -29,19 +27,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExhausted", "DegreeBoundsReport", "DimensionError", "DualDegenerate",
-    "EmptyNeighborhood", "ExperimentConfig", "ExperimentReport", "GeneratedInstance",
-    "Graph", "Hypergraph", "InfeasibleParams", "Labeling", "LeafStat", "LowerBoundParams",
-    "MergeChecks", "PairClassification", "ParamsOutOfRange", "ParseError", "Pmf",
-    "QuadraticResult", "RepairResult", "ShapeError", "SolveResult", "SumLabelError",
-    "TooLarge", "TwoStepConfig", "TwoStepResult", "ValidationError", "classify_edges",
-    "closed_neighborhood_groups", "closed_neighborhood_hypergraph", "closed_sums",
-    "decide_labeling", "dual",
-    "edge_sums", "exact_collision_probability", "exact_irr", "exact_s", "exact_s_star",
-    "gen_runiform", "injective_reduction", "is_distinguishing",
-    "is_vertex_sum_distinguishing", "iter_sum_pmfs", "leaf_stat", "lower_bound_instance",
-    "lower_bound_params", "merge_inequality_check", "open_neighborhood_hypergraph",
-    "peak_probability_margin", "power_of_two_labeling",
-    "quadratic_random_labeling", "repair_labeler", "run_experiment", "s_star_bounds",
-    "split_embed", "step_one", "step_one_successful", "sum_class_histogram", "sum_pmf",
-    "tree_labeler", "two_step_labeling",
+    "ExperimentConfig", "ExperimentReport", "GeneratedInstance", "Graph", "Hypergraph",
+    "InfeasibleParams", "Labeling", "LeafStat", "LowerBoundParams", "MergeChecks",
+    "PairClassification", "ParamsOutOfRange", "ParseError", "Pmf", "QuadraticResult",
+    "RepairResult", "ShapeError", "SolveResult", "SumLabelError", "TooLarge", "TwoStepConfig",
+    "TwoStepResult", "ValidationError", "classify_edges", "closed_neighborhood_groups",
+    "closed_neighborhood_hypergraph", "closed_sums", "dual", "edge_sums",
+    "exact_collision_probability", "exact_irr", "exact_s", "exact_s_star", "gen_runiform",
+    "is_distinguishing", "is_vertex_sum_distinguishing", "iter_sum_pmfs", "leaf_stat",
+    "lower_bound_instance", "lower_bound_params", "merge_inequality_check",
+    "peak_probability_margin", "quadratic_random_labeling", "repair_labeler", "run_experiment",
+    "s_star_bounds", "step_one", "step_one_successful", "sum_pmf", "tree_labeler",
+    "two_step_labeling",
 ]

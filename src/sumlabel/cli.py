@@ -31,14 +31,14 @@ from pathlib import Path
 from typing import Any
 
 from . import constructive, exact, formats, generators, randomized, transforms, uniform_sums
-from .errors import (BudgetExhausted, DualDegenerate, EmptyNeighborhood, InfeasibleParams,
-                     ParamsOutOfRange, ParseError, SumLabelError, TooLarge, ValidationError)
+from .errors import (BudgetExhausted, DualDegenerate, InfeasibleParams, ParamsOutOfRange,
+                     ParseError, SumLabelError, TooLarge, ValidationError)
 from .hypergraph import Graph, Labeling, is_distinguishing, is_vertex_sum_distinguishing
 
 DEFAULT_SEED = randomized.DEFAULT_SEED
 
-_RESULT_ERRORS = (DualDegenerate, BudgetExhausted, EmptyNeighborhood, InfeasibleParams,
-                  ParamsOutOfRange, TooLarge)
+_RESULT_ERRORS = (DualDegenerate, BudgetExhausted, InfeasibleParams, ParamsOutOfRange,
+                  TooLarge)
 _INTERNAL_ERRORS = (AssertionError, RecursionError)
 
 

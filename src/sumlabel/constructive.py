@@ -41,11 +41,14 @@ class DegreeBoundsReport:
 
 
 def s_star_bounds(g: Graph) -> DegreeBoundsReport:
-    """Bracket ceil((n' + delta) / (Delta + 1)) <= s*(G) <= xi <= (Delta+1) n.
+    """Bracket ceil((n' + delta) / (Delta + 1)) <= s*(G) <= xi, and
+    xi <= (Delta+1) n when G has an edge.
 
     n' counts the distinct closed neighborhoods.  The lower bound is
     meaningful for graphs with at least one edge, but all fields are
-    computed regardless.
+    computed regardless.  An edgeless graph has xi = n + 1 above
+    (Delta+1) n = n, which is s*(G) itself: its closed neighborhoods are
+    n singletons, so the labels must be distinct.
     """
     n = g.vertex_count
     if n < 1:

@@ -12,7 +12,7 @@ class DimensionError(SumLabelError):
 
 
 class ShapeError(SumLabelError):
-    """Input has the wrong shape for the operation (e.g. |E| != |V|, not a tree)."""
+    """Input has the wrong shape for the operation (e.g. a tree labeler given a non-tree)."""
 
 
 class DualDegenerate(SumLabelError):
@@ -25,10 +25,6 @@ class DualDegenerate(SumLabelError):
         self.groups = groups
         detail = "; ".join(",".join(map(str, g)) for g in groups)
         super().__init__(f"vertices with identical incidence sets: {detail}")
-
-
-class EmptyNeighborhood(SumLabelError):
-    """An isolated vertex has an empty open neighborhood."""
 
 
 class BudgetExhausted(SumLabelError):

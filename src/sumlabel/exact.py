@@ -262,18 +262,6 @@ class _Search:
         return Labeling(values)
 
 
-def decide_labeling(h: Hypergraph, max_label: int,
-                    node_budget: int | None = None) -> Labeling | None:
-    """Return a verified distinguishing labeling with all labels <= max_label,
-    or None when none exists.  Deterministic for fixed inputs."""
-    if max_label < 1:
-        raise ValueError("max_label must be >= 1")
-    found = _Search(h, node_budget).decide(max_label)
-    if found is not None:
-        assert is_distinguishing(h, found)
-    return found
-
-
 def _quick_lower_bound(h: Hypergraph) -> int:
     """All m sums are distinct integers inside [min_size, max_size * N]."""
     if h.edge_count == 0:

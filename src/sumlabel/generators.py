@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from .errors import BudgetExhausted, InfeasibleParams, ParamsOutOfRange, TooLarge
 from .exact import DEFAULT_NODE_BUDGET, exact_s
-from .hypergraph import Hypergraph, Labeling
+from .hypergraph import Hypergraph
 from .randomized import DEFAULT_SEED, TwoStepConfig, quadratic_random_labeling, two_step_labeling
 
 GEN_GUARD = 5 * 10**6
@@ -130,23 +130,6 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
         chosen.update(rng.sample(missing, m - len(chosen)))
     h = Hypergraph(n, sorted(chosen))
     return GeneratedInstance(h, r, core, n - core, p)
-
-
-def sum_class_histogram(vertex_count: int, uniformity: int, f: Labeling) -> dict[int, int]:
-    """Count, for each sum value k, the r-subsets whose label sum is k.
-
-    The counts partition the binom(N, r) subsets; f is distinguishing on
-    the complete r-uniform hypergraph exactly when every count is 1.
-    """
-    _guarded_combinations(vertex_count, uniformity)
-    if len(f) != vertex_count:
-        raise ValueError(f"labeling has {len(f)} values, expected {vertex_count}")
-    hist: dict[int, int] = {}
-    vals = f.values
-    for c in combinations(range(vertex_count), uniformity):
-        s = sum(vals[v] for v in c)
-        hist[s] = hist.get(s, 0) + 1
-    return hist
 
 
 _KINDS = ("complete", "runiform", "lowerbound")

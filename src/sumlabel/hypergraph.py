@@ -196,14 +196,3 @@ def is_vertex_sum_distinguishing(g: Graph, f: Labeling) -> bool:
     sums = closed_sums(g, f)
     groups = closed_neighborhood_groups(g)
     return len({sums[vs[0]] for vs in groups}) == len(groups)
-
-
-def power_of_two_labeling(n: int) -> Labeling:
-    """Labels 1, 2, 4, ..., 2**(n-1).
-
-    Distinguishing for every duplicate-free hypergraph on n vertices,
-    since distinct vertex subsets then have distinct binary sums.
-    """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    return Labeling(tuple(1 << i for i in range(n)))

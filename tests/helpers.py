@@ -16,9 +16,10 @@ from random import Random
 from hypothesis import strategies as st
 
 from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph, Labeling, ParseError,
-                      ValidationError, closed_sums, is_distinguishing,
+                      ShapeError, ValidationError, closed_sums, is_distinguishing,
                       is_vertex_sum_distinguishing, s_star_bounds)
 from sumlabel.constructive import RepairResult, RepairStep
+from sumlabel.exact import _Search
 
 
 # Instance files for the two-step labeler.  With small K and C, "c", "e"
@@ -73,6 +74,27 @@ def random_hypergraph(rng: Random, n: int, m: int, max_size: int | None = None) 
 def graph_as_hypergraph(g: Graph) -> Hypergraph:
     """The 2-uniform hypergraph with the edges of g."""
     return Hypergraph(g.vertex_count, sorted(g.edges))
+
+
+def split_embed(h: Hypergraph) -> tuple[Graph, tuple[int, ...]]:
+    """Embed an n-vertex, n-edge hypergraph into a graph on 2n vertices.
+
+    Vertices 0..n-1 form a clique A (one per hyperedge), vertices n..2n-1
+    an independent set B (one per hypergraph vertex), and a_i is joined
+    to b_j exactly when edge i contains vertex j.  Any vertex
+    sum-distinguishing labeling of the result, restricted to B, is
+    distinguishing on ``h``.
+
+    Returns the graph and the map from hypergraph vertex j to graph
+    vertex n + j.
+    """
+    n = h.vertex_count
+    if h.edge_count != n:
+        raise ShapeError(f"embedding needs |E| = |V|, got {h.edge_count} edges on {n} vertices")
+    edges = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    for i, e in enumerate(h.edges):
+        edges.extend((i, n + j) for j in e)
+    return Graph(2 * n, edges), tuple(range(n, 2 * n))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -187,6 +209,15 @@ def brute_force_decide(h: Hypergraph, cap: int) -> tuple[int, ...] | None:
     return None
 
 
+def decide(h: Hypergraph, max_label: int, node_budget: int | None = None) -> Labeling | None:
+    """One decision step of the exact search: the labeling it finds with
+    all labels <= max_label, checked to be distinguishing, or None."""
+    found = _Search(h, node_budget).decide(max_label)
+    if found is not None:
+        assert is_distinguishing(h, found)
+    return found
+
+
 ORACLE_GUARD = 10**8
 
 
@@ -196,8 +227,9 @@ class OracleTooLarge(Exception):
 
 def oracle_enumerate(h: Hypergraph, max_label: int) -> Labeling | None:
     """Scan all max_label**n labelings in lexicographic order and return the
-    first distinguishing one, or None.  Ground-truth oracle for
-    ``decide_labeling``; guarded to at most 10**8 candidates."""
+    first distinguishing one, or None.  Ground-truth oracle for the exact
+    search's decision step (:func:`decide`); guarded to at most 10**8
+    candidates."""
     n = h.vertex_count
     if max_label**n > ORACLE_GUARD:
         raise OracleTooLarge(f"{max_label}**{n} labelings exceed the enumeration guard")

@@ -22,10 +22,11 @@ from sumlabel import (DualDegenerate, Labeling, TwoStepConfig,
                       gen_runiform, is_distinguishing, is_vertex_sum_distinguishing,
                       iter_sum_pmfs, leaf_stat, lower_bound_instance, lower_bound_params,
                       merge_inequality_check, peak_probability_margin, repair_labeler,
-                      s_star_bounds, split_embed, sum_pmf, tree_labeler, two_step_labeling)
+                      s_star_bounds, sum_pmf, tree_labeler, two_step_labeling)
 
 from helpers import (all_graphs, brute_force_min_max_label, brute_force_s_star,
-                     complete_hypergraph, random_graph, random_hypergraph, random_tree, star_graph)
+                     complete_hypergraph, random_graph, random_hypergraph, random_tree,
+                     split_embed, star_graph)
 
 
 def report(num: int, ok: bool, detail: str = "") -> None:

@@ -5,8 +5,8 @@ from random import Random
 
 import pytest
 
-from sumlabel import (Graph, ShapeError, is_vertex_sum_distinguishing, leaf_stat,
-                      repair_labeler, s_star_bounds, tree_labeler)
+from sumlabel import (Graph, ShapeError, exact_s_star, is_vertex_sum_distinguishing,
+                      leaf_stat, repair_labeler, s_star_bounds, tree_labeler)
 from sumlabel.hypergraph import Labeling
 
 from helpers import (broom_tree, caterpillar_tree, complete_graph, path_graph, random_graph,
@@ -46,6 +46,13 @@ class TestBounds:
             assert rep.lower <= rep.xi
             if g.edge_count > 0:  # the loose chain needs a nonempty graph
                 assert rep.xi <= rep.upper_loose == (rep.max_degree + 1) * n
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_edgeless_xi_above_loose_upper(self, n):
+        # n singleton closed neighborhoods: s* = n = (Delta+1) n < xi = n + 1
+        g = Graph(n, [])
+        rep = s_star_bounds(g)
+        assert rep.upper_loose == n == exact_s_star(g).optimum < rep.xi == n + 1
 
 
 class TestRepair:

@@ -7,28 +7,28 @@ from random import Random
 import pytest
 
 from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph,
-                      closed_neighborhood_hypergraph, decide_labeling, dual, exact_irr,
-                      exact_s, exact_s_star, is_distinguishing, s_star_bounds)
+                      closed_neighborhood_hypergraph, dual, exact_irr, exact_s, exact_s_star,
+                      is_distinguishing, s_star_bounds)
 from sumlabel.exact import DEFAULT_NODE_BUDGET, _static_vertex_order, symmetry_classes
 
 from helpers import (OracleTooLarge, brute_force_decide, brute_force_min_max_label,
-                     brute_force_s_star, complete_graph, complete_hypergraph, exact_search_oracle,
-                     graph_as_hypergraph, oracle_enumerate, path_graph, random_graph,
-                     random_hypergraph, star_graph, symmetry_classes_oracle)
+                     brute_force_s_star, complete_graph, complete_hypergraph, decide,
+                     exact_search_oracle, graph_as_hypergraph, oracle_enumerate, path_graph,
+                     random_graph, random_hypergraph, star_graph, symmetry_classes_oracle)
 
 
 class TestDecideLabeling:
     def test_full_triple_infeasible_at_three(self):
-        assert decide_labeling(complete_hypergraph(3), 3) is None
+        assert decide(complete_hypergraph(3), 3) is None
         assert brute_force_decide(complete_hypergraph(3), 3) is None
 
     def test_full_triple_feasible_at_four(self):
-        f = decide_labeling(complete_hypergraph(3), 4)
+        f = decide(complete_hypergraph(3), 4)
         assert f is not None and f.max_label <= 4
         assert is_distinguishing(complete_hypergraph(3), f)
 
     def test_trivial_singleton(self):
-        f = decide_labeling(Hypergraph(1, [{0}]), 1)
+        f = decide(Hypergraph(1, [{0}]), 1)
         assert f is not None and f.values == (1,)
 
     def test_agrees_with_oracle_on_random_instances(self):
@@ -37,7 +37,7 @@ class TestDecideLabeling:
             n = rng.randint(1, 4)
             h = random_hypergraph(rng, n, rng.randint(1, min(5, 2**n - 1)))
             cap = rng.randint(1, 6)
-            mine = decide_labeling(h, cap)
+            mine = decide(h, cap)
             oracle = oracle_enumerate(h, cap)
             assert (mine is None) == (oracle is None)
             if mine is not None:
@@ -103,8 +103,8 @@ class TestExactS:
             n = rng.randint(2, 4)
             h = random_hypergraph(rng, n, rng.randint(2, min(6, 2**n - 1)))
             s = exact_s(h).optimum
-            assert decide_labeling(h, s) is not None
-            assert decide_labeling(h, s - 1) is None if s > 1 else True
+            assert decide(h, s) is not None
+            assert decide(h, s - 1) is None if s > 1 else True
 
     def test_budget_exhaustion_reports_bracket(self):
         h = complete_hypergraph(4)
@@ -117,7 +117,7 @@ class TestExactS:
     def test_budget_below_one_rejected(self, budget):
         h = Hypergraph(2, [(0,), (1,), (0, 1)])
         g = path_graph(3)
-        for solve in (lambda: decide_labeling(h, 2, budget), lambda: exact_s(h, budget),
+        for solve in (lambda: decide(h, 2, budget), lambda: exact_s(h, budget),
                       lambda: exact_s_star(g, budget), lambda: exact_irr(h, budget)):
             with pytest.raises(ValueError, match="node budget must be positive"):
                 solve()

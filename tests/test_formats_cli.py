@@ -324,6 +324,14 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: hypergraph has no edges, so its dual has no vertices\n"
 
+    def test_solve_sstar_on_vertexless_graph_names_the_graph(self, capsys, tmp_path):
+        path = tmp_path / "empty.g"
+        path.write_text("0 0\n")
+        assert main(["solve", "sstar", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has no vertices, so it has no closed neighborhoods\n"
+
     def test_dual_and_irr_print_nothing_on_stderr(self, tmp_path):
         # vertex 2 is uncovered: left out of the dual, with sum 0 under irr
         path = tmp_path / "uncovered.hg"

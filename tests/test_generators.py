@@ -1,14 +1,11 @@
 """Instance generators, parameter formulas, and the experiment runner."""
 
 from math import comb, factorial, log, sqrt
-from random import Random
 
 import pytest
 
-from sumlabel import (ExperimentConfig, Hypergraph, InfeasibleParams, Labeling,
-                      ParamsOutOfRange, TooLarge, gen_runiform, is_distinguishing,
-                      lower_bound_instance, lower_bound_params, run_experiment,
-                      sum_class_histogram)
+from sumlabel import (ExperimentConfig, InfeasibleParams, ParamsOutOfRange, TooLarge,
+                      gen_runiform, lower_bound_instance, lower_bound_params, run_experiment)
 
 
 class TestLowerBoundParams:
@@ -99,34 +96,6 @@ class TestLowerBoundInstance:
         a = lower_bound_instance(60, 90, 0.8, seed=2).hypergraph
         b = lower_bound_instance(60, 90, 0.8, seed=2).hypergraph
         assert a.edges == b.edges
-
-
-class TestSumClassHistogram:
-    def test_distinct_sums(self):
-        hist = sum_class_histogram(3, 2, Labeling([1, 2, 3]))
-        assert hist == {3: 1, 4: 1, 5: 1}
-
-    def test_with_collision(self):
-        hist = sum_class_histogram(3, 2, Labeling([1, 1, 2]))
-        assert hist == {2: 1, 3: 2}
-
-    def test_totals_partition(self):
-        rng = Random(113)
-        for _ in range(10):
-            n, r = rng.randint(3, 7), rng.randint(1, 3)
-            f = Labeling([rng.randint(1, 9) for _ in range(n)])
-            assert sum(sum_class_histogram(n, r, f).values()) == comb(n, r)
-
-    def test_flat_histogram_iff_distinguishing(self):
-        rng = Random(127)
-        from itertools import combinations
-
-        for _ in range(10):
-            n, r = rng.randint(3, 6), 2
-            f = Labeling([rng.randint(1, 6) for _ in range(n)])
-            h = Hypergraph(n, combinations(range(n), r))
-            flat = all(v == 1 for v in sum_class_histogram(n, r, f).values())
-            assert flat == is_distinguishing(h, f)
 
 
 class TestExperiments:

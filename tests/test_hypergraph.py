@@ -1,14 +1,13 @@
 """Data model and basic labeling checks."""
 
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sumlabel import (DimensionError, Graph, Hypergraph, Labeling, ValidationError, closed_sums,
-                      edge_sums, is_distinguishing, is_vertex_sum_distinguishing,
-                      power_of_two_labeling)
+                      edge_sums, is_distinguishing, is_vertex_sum_distinguishing)
 
 from helpers import complete_hypergraph, path_graph, random_hypergraph
 
@@ -129,6 +128,17 @@ class TestIsDistinguishing:
         sums = edge_sums(h, f)
         assert is_distinguishing(h, f) == (len(set(sums)) == len(sums))
 
+    def test_all_singletons_force_injective(self):
+        # with every singleton an edge, the singleton sums are the labels
+        rng = Random(19)
+        for _ in range(25):
+            n = rng.randint(2, 4)
+            h = random_hypergraph(rng, n, rng.randint(1, 3))
+            h = Hypergraph(n, {*h.edges, *(frozenset({v}) for v in range(n))})
+            for values in product(range(1, 4), repeat=n):
+                if is_distinguishing(h, Labeling(values)):
+                    assert len(set(values)) == n
+
 
 class TestVertexSums:
     def test_single_edge_pair_exempt(self):
@@ -158,25 +168,21 @@ class TestVertexSums:
 
 
 class TestPowersOfTwo:
-    def test_values(self):
-        assert power_of_two_labeling(3).values == (1, 2, 4)
-        assert power_of_two_labeling(1).values == (1,)
-
-    def test_distinguishes_full_triple(self):
-        assert is_distinguishing(complete_hypergraph(3), power_of_two_labeling(3))
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            power_of_two_labeling(0)
-
+    # exact_s's ceiling 2**(c - 1) rests on this: distinct vertex sets have
+    # distinct binary sums
     @pytest.mark.parametrize("n", range(2, 11))
     def test_distinguishes_random_hypergraphs(self, n):
         rng = Random(1000 + n)
-        f = power_of_two_labeling(n)
+        f = Labeling([1 << i for i in range(n)])
         for _ in range(200):
             m = rng.randint(1, min(2 * n, 2**n - 1))
             h = random_hypergraph(rng, n, m)
             assert is_distinguishing(h, f)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_distinguishes_complete_hypergraph(self, n):
+        # all 2**n - 1 vertex sets at once, the case the ceiling covers
+        assert is_distinguishing(complete_hypergraph(n), Labeling([1 << i for i in range(n)]))
 
 
 def test_incidence_sets():

@@ -1,4 +1,4 @@
-"""Structural transformations: dual, neighborhoods, embedding, reductions."""
+"""Structural transformations: dual, neighborhoods, and the split embedding."""
 
 import warnings
 from collections import Counter
@@ -7,15 +7,13 @@ from random import Random
 
 import pytest
 
-from sumlabel import (DualDegenerate, EmptyNeighborhood, Graph, Hypergraph, Labeling,
-                      ShapeError, ValidationError, closed_neighborhood_groups,
-                      closed_neighborhood_hypergraph, dual, injective_reduction,
-                      is_distinguishing, is_vertex_sum_distinguishing,
-                      open_neighborhood_hypergraph, power_of_two_labeling, split_embed)
+from sumlabel import (DualDegenerate, Graph, Hypergraph, Labeling, ShapeError, ValidationError,
+                      closed_neighborhood_groups, closed_neighborhood_hypergraph, dual,
+                      is_distinguishing, is_vertex_sum_distinguishing)
 
 from helpers import (all_graphs, closed_neighborhood_groups_oracle, complete_graph, dual_oracle,
                      is_vertex_sum_distinguishing_oracle, path_graph, random_graph,
-                     random_hypergraph)
+                     random_hypergraph, split_embed)
 
 
 def edge_sets(h: Hypergraph) -> list[set[int]]:
@@ -108,6 +106,10 @@ class TestClosedNeighborhoods:
         h = closed_neighborhood_hypergraph(Graph(3, []))
         assert edge_sets(h) == [{0}, {1}, {2}]
 
+    def test_vertexless_graph_rejected(self):
+        with pytest.raises(ValidationError, match="^graph has no vertices"):
+            closed_neighborhood_hypergraph(Graph(0, []))
+
     def test_groups_and_vertex_check_match_earlier_code(self):
         verdicts: Counter[bool] = Counter()
         for n in range(1, 6):
@@ -124,7 +126,7 @@ class TestClosedNeighborhoods:
             g = random_graph(rng, n, rng.random())
             assert closed_neighborhood_groups(g) == closed_neighborhood_groups_oracle(g)
             labelings = [Labeling([rng.randint(1, 3) for _ in range(n)]) for _ in range(3)]
-            for f in [*labelings, power_of_two_labeling(n)]:
+            for f in [*labelings, Labeling([1 << i for i in range(n)])]:
                 verdict = is_vertex_sum_distinguishing(g, f)
                 assert verdict == is_vertex_sum_distinguishing_oracle(g, f)
                 verdicts[verdict] += 1
@@ -142,18 +144,6 @@ class TestClosedNeighborhoods:
 
 
 class TestOpenNeighborhoods:
-    def test_k2(self):
-        h = open_neighborhood_hypergraph(Graph(2, [(0, 1)]))
-        assert edge_sets(h) == [{1}, {0}]
-
-    def test_path(self):
-        h = open_neighborhood_hypergraph(path_graph(3))
-        assert edge_sets(h) == [{1}, {0, 2}]
-
-    def test_isolated_vertex_rejected(self):
-        with pytest.raises(EmptyNeighborhood):
-            open_neighborhood_hypergraph(Graph(3, [(0, 1)]))
-
     def test_complement_identity(self):
         rng = Random(13)
         for _ in range(50):
@@ -203,29 +193,6 @@ class TestSplitEmbed:
                 if is_vertex_sum_distinguishing(g, f):
                     restricted = Labeling([values[b] for b in b_map])
                     assert is_distinguishing(h, restricted)
-
-
-class TestInjectiveReduction:
-    def test_adds_missing_singletons(self):
-        h = injective_reduction(Hypergraph(3, [{0, 1}]))
-        assert edge_sets(h) == [{0, 1}, {0}, {1}, {2}]
-
-    def test_idempotent_when_complete(self):
-        h = Hypergraph(2, [{0}, {1}, {0, 1}])
-        assert injective_reduction(h).edges == h.edges
-
-    def test_two_vertices(self):
-        h = injective_reduction(Hypergraph(2, [{0}]))
-        assert edge_sets(h) == [{0}, {1}]
-
-    def test_distinguishing_forces_injective(self):
-        rng = Random(19)
-        for _ in range(25):
-            n = rng.randint(2, 4)
-            h = injective_reduction(random_hypergraph(rng, n, rng.randint(1, 3)))
-            for values in product(range(1, 4), repeat=n):
-                if is_distinguishing(h, Labeling(values)):
-                    assert len(set(values)) == n
 
 
 def test_complete_graph_single_closed_class():
