@@ -16,6 +16,17 @@ label it accepts keeps all completed sums distinct.  Vertices that a
 transposition maps onto each other (see :func:`symmetry_classes`) take
 non-decreasing labels along the search order, which cuts the symmetric
 copies of each subtree without changing the labeling found.
+
+When every edge has the same size r, the search also skips reflected
+labelings.  The map x -> N + 1 - x sends each edge sum s to r(N + 1) - s,
+so it keeps sums distinct, and re-sorting the labels within each class
+keeps the class constraint.  The labeling the search returns is
+lexicographically no later than its own reflection, so the last member of
+the first vertex's class takes a label of at most N + 1 minus the first
+vertex's label (at most (N + 1) / 2 if that class has one member).  The
+search caps that one depth and returns the same witness, or the same
+refutation, at every N; on hypergraphs with edges of several sizes the
+map does not keep sums distinct and no cap is applied.
 """
 
 from __future__ import annotations
@@ -160,8 +171,11 @@ class _Search:
     vertices, in :func:`_static_vertex_order`.
 
     Set-up, once per instance: for each depth, the edges that the vertex
-    at that depth completes, each as the tuple of earlier depths it holds,
-    and the depth of the previous vertex of the same symmetry class.
+    at that depth completes, split into ``singles`` (the one earlier depth
+    of a two-member edge) and ``multis`` (the tuple of earlier depths of
+    any other edge); the depth of the previous vertex of the same symmetry
+    class; and, on uniform hypergraphs, the depth ``reflect_at`` that
+    carries the reflection cap.
 
     Entering a depth computes those edges' partial sums p.  Two equal
     partials would give two equal sums whatever the label, so the subtree
@@ -180,6 +194,21 @@ class _Search:
     the search without the class constraint would return, already has
     non-decreasing labels within each class: the constraint leaves the
     optimum and the witness unchanged and only prunes.
+
+    Reflection, when every edge has size r: let ``first`` be the vertex at
+    depth 0 and ``last`` the deepest member of its class.  Take a
+    class-sorted distinguishing labeling f with labels in [N], map every
+    label x to N + 1 - x, and re-sort the labels within each class.  Each
+    edge sum s becomes r(N + 1) - s, so the sums stay distinct; each class
+    is made of transpositions that map the edge set onto itself, so the
+    re-sort keeps them distinct too.  The result f' is distinguishing,
+    class-sorted and inside [N], and f'(first) = N + 1 - f(last).  The
+    first labeling f* in search order is lexicographically no later than
+    f*', so f*(first) <= N + 1 - f*(last).  The search therefore accepts
+    at ``last`` only labels <= N + 1 - f(first), or, when ``last`` is
+    ``first`` itself, only labels <= (N + 1) // 2.  f* obeys that cap, so
+    the capped search returns the same witness, or the same None, at
+    every N.
     """
 
     def __init__(self, h: Hypergraph, node_budget: int | None):
@@ -187,71 +216,89 @@ class _Search:
             raise ValueError("node budget must be positive")
         self.h = h
         self.order = _static_vertex_order(h)
+        size = len(self.order)
         depth_of = [0] * h.vertex_count
         for d, v in enumerate(self.order):
             depth_of[v] = d
-        self.completed: list[list[tuple[int, ...]]] = [[] for _ in self.order]
+        singles: list[list[int]] = [[] for _ in self.order]
+        multis: list[list[tuple[int, ...]]] = [[] for _ in self.order]
         for e in h.edges:
-            depths = sorted(depth_of[v] for v in e)
-            self.completed[depths[-1]].append(tuple(depths[:-1]))
+            *earlier, d = sorted(depth_of[v] for v in e)
+            if len(earlier) == 1:
+                singles[d].append(earlier[0])
+            else:
+                multis[d].append(tuple(earlier))
+        self.singles = [tuple(js) for js in singles]
+        self.multis = [tuple(ms) for ms in multis]
         classes = symmetry_classes(h)
         self.symmetry_classes = len(classes)
-        self.previous = [-1] * len(self.order)
+        self.previous = [size] * size  # depth ``size`` holds the label 1 in ``decide``
+        self.reflect_at = -1
+        uniform = len({len(e) for e in h.edges}) == 1
         for members in classes:
             depths = sorted(depth_of[v] for v in members)
             for before, d in zip(depths, depths[1:]):
                 self.previous[d] = before
+            if uniform and depths[0] == 0:
+                self.reflect_at = depths[-1]
         self.node_budget = node_budget
         self.nodes = 0
 
     def decide(self, max_label: int) -> Labeling | None:
         size = len(self.order)
-        completed, previous = self.completed, self.previous
-        budget = self.node_budget
-        labels = [0] * size
+        singles, multis, previous = self.singles, self.multis, self.previous
+        last = self.reflect_at
+        budget = self.node_budget if self.node_budget is not None else 1 << 64
+        nodes = self.nodes
+        labels = [0] * size + [1]
         candidates = [0] * size  # labels still to try at each depth, as a bitmask
         partials = [0] * size  # bitmask of the partial sums of the edges completed there
         used = 0
         top = (1 << (max_label + 1)) - 1
-
-        def enter(d: int) -> None:
-            lo = labels[previous[d]] if previous[d] >= 0 else 1
-            mask = forbidden = 0
-            for members in completed[d]:
-                p = 0
-                for j in members:
-                    p += labels[j]
-                if mask >> p & 1:
-                    candidates[d] = 0
-                    return
-                mask |= 1 << p
-                forbidden |= used >> p
-            partials[d] = mask
-            candidates[d] = top & ~forbidden & -(1 << lo)
-
         d = 0
-        if size:
-            enter(0)
-        while 0 <= d < size:
-            c = candidates[d]
-            if not c:
-                d -= 1
-                if d >= 0:
+        try:
+            while d < size:
+                c = mask = forbidden = 0
+                for j in singles[d]:
+                    p = labels[j]
+                    if mask >> p & 1:
+                        break
+                    mask |= 1 << p
+                    forbidden |= used >> p
+                else:
+                    for members in multis[d]:
+                        p = 0
+                        for j in members:
+                            p += labels[j]
+                        if mask >> p & 1:
+                            break
+                        mask |= 1 << p
+                        forbidden |= used >> p
+                    else:
+                        c = top & ~forbidden & -(1 << labels[previous[d]])
+                        if d == last:
+                            cap = max_label + 1 - labels[0] if d else (max_label + 1) // 2
+                            c &= (2 << cap) - 1
+                partials[d] = mask
+                while not c:
+                    d -= 1
+                    if d < 0:
+                        return None
                     used ^= partials[d] << labels[d]
-                continue
-            low = c & -c
-            candidates[d] = c ^ low
-            self.nodes += 1
-            if budget is not None and self.nodes > budget:
-                raise BudgetExhausted(f"node budget {budget} exhausted",
-                                      detail={"nodes": self.nodes})
-            x = low.bit_length() - 1
-            labels[d] = x
-            used |= partials[d] << x
-            d += 1
-            if d < size:
-                enter(d)
-        return None if d < 0 else self.labeling(labels)
+                    c = candidates[d]
+                low = c & -c
+                candidates[d] = c ^ low
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExhausted(f"node budget {budget} exhausted",
+                                          detail={"nodes": nodes})
+                x = low.bit_length() - 1
+                labels[d] = x
+                used |= partials[d] << x
+                d += 1
+        finally:
+            self.nodes = nodes
+        return self.labeling(labels)
 
     def labeling(self, labels: list[int]) -> Labeling:
         """The labeling giving ``labels[d]`` to the vertex at depth d and 1

@@ -113,6 +113,19 @@ class TestExactS:
         lo, hi = err.value.bracket
         assert lo <= 7 <= hi  # the true optimum (7, by enumeration) stays inside
 
+    def test_budget_on_a_uniform_instance_counts_every_accepted_label(self):
+        # a 2-uniform graph: the reflection cap applies; the refutation at
+        # N = 13 takes 41,651 nodes (see TestNodeCounts)
+        h = graph_as_hypergraph(random_graph(Random(1), 9, 0.5))
+        for budget, bracket in ((1000, (13, 256)), (41651 + 1000, (14, 256))):
+            with pytest.raises(BudgetExhausted) as err:
+                exact_s(h, budget)
+            assert err.value.bracket == bracket
+            assert err.value.detail == {"nodes": budget + 1}
+        with pytest.raises(BudgetExhausted) as err:
+            decide(h, 13, node_budget=500)
+        assert err.value.detail == {"nodes": 501}
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
         h = Hypergraph(2, [(0,), (1,), (0, 1)])
@@ -321,6 +334,83 @@ class TestSearchAgainstRecursiveOracle:
     def test_exact_irr(self):
         for h in _irr_instances(Random(71), 40):
             self.check(exact_irr(h), dual(h))
+
+    def test_exact_s_random_uniform_hypergraphs(self):
+        # one edge size: the search also caps reflected labelings
+        rng = Random(79)
+        first_class_sizes = set()
+        for _ in range(300):
+            r = rng.randint(1, 3)
+            n = rng.randint(r + 1, 6)
+            edges = [e for e in combinations(range(n), r) if rng.random() < 0.5]
+            if edges:
+                h = Hypergraph(n, edges)
+                self.check(exact_s(h), h)
+                first_class_sizes.add(_first_class_size(h) > 1)
+        assert first_class_sizes == {False, True}
+
+    def test_exact_s_complete_uniform_hypergraphs(self):
+        # one class, so the cap sits at the last depth
+        for r in (2, 3):
+            for n in range(r, 7):
+                h = Hypergraph(n, list(combinations(range(n), r)))
+                self.check(exact_s(h), h)
+
+    def test_exact_s_uniform_with_classmates_of_the_first_vertex(self):
+        # the depth-0 vertex has a classmate, so the cap lands below depth 0
+        bipartite = [Hypergraph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+                     for a in (2, 3) for b in (2, 3, 4)]
+        cycle = Hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        triangles_on_an_axis = Hypergraph(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)])
+        for h in bipartite + [cycle, triangles_on_an_axis]:
+            assert _first_class_size(h) > 1
+            self.check(exact_s(h), h)
+
+
+def _first_class_size(h: Hypergraph) -> int:
+    """Size of the symmetry class of the vertex the search labels first."""
+    first = _static_vertex_order(h)[0]
+    return next(len(c) for c in symmetry_classes(h) if first in c)
+
+
+class TestNodeCounts:
+    """Nodes per bound.  Hypergraphs with edges of several sizes get no
+    reflection cap, so their counts are those of the earlier search loop."""
+
+    @staticmethod
+    def mixed_sizes(h: Hypergraph) -> bool:
+        return len({len(e) for e in h.edges}) > 1
+
+    def test_complete_hypergraphs(self):
+        assert exact_s(complete_hypergraph(4)).nodes_per_bound == {4: 12, 5: 21, 6: 35, 7: 37}
+        assert exact_s(complete_hypergraph(5)).nodes_per_bound == {
+            7: 55, 8: 90, 9: 134, 10: 210, 11: 306, 12: 445, 13: 306}
+
+    def test_closed_neighborhood_hypergraph(self):
+        g = random_graph(Random(7), 11, 0.3)
+        assert self.mixed_sizes(closed_neighborhood_hypergraph(g))
+        assert exact_s_star(g).nodes_per_bound == {2: 445, 3: 1383}
+
+    def test_dual(self):
+        h = random_hypergraph(Random(27), 6, 8, max_size=3)
+        assert self.mixed_sizes(dual(h))
+        assert exact_irr(h).nodes_per_bound == {2: 75, 3: 13}
+
+    def test_reflection_cuts_the_refutation_on_graphs(self):
+        # the first vertex has a classmate: the cap sits at a deeper depth;
+        # without it the refutation at N = 13 took 76,848 nodes
+        h = graph_as_hypergraph(random_graph(Random(1), 9, 0.5))
+        assert _first_class_size(h) == 2
+        res = exact_s(h)
+        assert res.nodes_per_bound == {13: 41651, 14: 39161}
+        assert res.witness.values == (10, 1, 5, 3, 13, 12, 14, 2, 7)
+        # the first vertex is alone in its class: the cap sits at depth 0;
+        # without it the refutation at N = 10 took 7,966 nodes
+        h = graph_as_hypergraph(random_graph(Random(7), 8, 0.5))
+        assert _first_class_size(h) == 1
+        res = exact_s(h)
+        assert res.nodes_per_bound == {10: 3983, 11: 703}
+        assert res.witness.values == (4, 1, 11, 8, 6, 11, 2, 10)
 
 
 class TestSymmetryClasses:
