@@ -11,8 +11,9 @@ byte-identical across reruns with the same inputs and seed; whenever
 --seed is omitted the fixed default seed is used and echoed in the
 output.  Exit codes: 0 success, 1 infeasibility-type results (degenerate
 dual, exhausted budgets, failed verification), 2 usage or parse errors,
-3 internal faults (an ``AssertionError`` or ``RecursionError``, reported
-as one ``internal error:`` line on stderr, without a traceback).
+3 internal faults (an ``AssertionError`` or ``RecursionError``, or a JSON
+payload holding NaN or an infinity, reported as one ``internal error:``
+line on stderr, without a traceback, and nothing on stdout).
 
 :func:`main` turns the cyclic garbage collector off while one command
 runs and restores the caller's setting afterwards: every command builds
@@ -44,7 +45,12 @@ _INTERNAL_ERRORS = (AssertionError, RecursionError)
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            # NaN and Infinity are not JSON; a payload holding one is a bug
+            raise AssertionError(f"unserializable payload: {exc}") from None
+        print(text)
     else:
         for key in sorted(payload):
             print(f"{key}: {payload[key]}")
@@ -312,20 +318,20 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = args.func(args)
-    except _RESULT_ERRORS as exc:
-        _emit(_error_payload(exc), args.format)
-        return 1
+        try:
+            result = args.func(args)
+        except _RESULT_ERRORS as exc:
+            result = _error_payload(exc), 1
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        if payload is not None:
+            _emit(payload, args.format)
+        return code
     except (ValueError, SumLabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _INTERNAL_ERRORS as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-    payload, code = result if isinstance(result, tuple) else (result, 0)
-    if payload is not None:
-        _emit(payload, args.format)
-    return code
 
 
 def entry() -> None:

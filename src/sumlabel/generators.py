@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import comb, exp, factorial, floor, inf, log, sqrt
 from random import Random
+from sys import float_info
 from typing import Any, Mapping
 
 from .errors import BudgetExhausted, InfeasibleParams, ParamsOutOfRange, TooLarge
@@ -143,9 +144,10 @@ class ExperimentConfig:
     """Declarative description of a seeded experiment batch.
 
     Integer fields (``seeds`` and ``sizes`` element-wise) must be ``int``
-    and real fields ``int`` or ``float``, never ``bool``; ``node_budget``
-    may be None for an unbounded search.  A wrong type is a ValueError
-    naming the field.
+    and real fields ``int`` or ``float`` within the finite float range,
+    never ``bool``; ``node_budget`` may be None for an unbounded search.
+    A wrong type or a real outside that range is a ValueError naming the
+    field.
     """
 
     kind: str
@@ -172,8 +174,13 @@ class ExperimentConfig:
             if not (type(value) is int or (name == "node_budget" and value is None)):
                 raise ValueError(f"{name} must be an integer")
         for name in _REAL_FIELDS:
-            if type(getattr(self, name)) not in (int, float):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
                 raise ValueError(f"{name} must be a number")
+            # json.loads reads NaN, Infinity and ints too large for a float;
+            # the comparisons are exact for ints and false for NaN
+            if not -float_info.max <= value <= float_info.max:
+                raise ValueError(f"{name} must be a finite number")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.measure not in _MEASURES:

@@ -11,6 +11,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, comb, exp
+from operator import le
 from random import Random
 
 from hypothesis import strategies as st
@@ -624,6 +625,27 @@ def sum_pmf_family_oracle(n_values: int, max_summands: int):
     for _ in range(2, max_summands + 1):
         counts = _oracle_convolve_next(counts, n_values)
         yield tuple(counts)
+
+
+def pmf_checks_oracle(summands: int, n_values: int, counts: tuple[int, ...]) -> None:
+    """``Pmf``'s checks as it ran them before its fast path, one whole-tuple
+    pass each in a fixed order: raises the ValueError of the first that
+    fails."""
+    ell, n, c = summands, n_values, counts
+    if ell < 1 or n < 1:
+        raise ValueError("summands and n_values must be positive")
+    if len(c) != ell * (n - 1) + 1:
+        raise ValueError("counts length does not match the support")
+    if min(c) < 0:
+        raise ValueError("negative count")
+    if sum(c) != n**ell:
+        raise ValueError("counts do not total n_values**summands")
+    if c != c[::-1]:
+        raise ValueError("counts not symmetric about the mean")
+    # for even length the pair straddling the middle is equal by symmetry
+    half = c[: (len(c) + 1) // 2]
+    if not all(map(le, half, half[1:])):
+        raise ValueError("counts not unimodal about the mean")
 
 
 def binomial_tail_le_one(p: Fraction, t: int) -> Fraction:

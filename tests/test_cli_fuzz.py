@@ -10,6 +10,7 @@ takes eps and ``--delta`` as any float; ``pmf`` takes any integer shape
 and window and any float margin.  Whatever the input, :func:`main` must
 return 0, 1 or 2 without letting an exception escape, and a usage error
 (exit 2) must print nothing on stdout and exactly one line on stderr.
+JSON on stdout must be strict: ``NaN`` or ``Infinity`` fails the check.
 The ".hg" commands run with warnings turned into errors, so a warning
 escapes :func:`main` as well.
 """
@@ -82,7 +83,11 @@ def check_exit(code: int, out: str, err: str, fmt: str = "json") -> None:
         elif fmt == "hg" and code == 0:
             assert serialize_hypergraph(parse_hypergraph(out)) == out
         else:
-            json.loads(out)
+            json.loads(out, parse_constant=reject_constant)
+
+
+def reject_constant(name: str):
+    raise AssertionError(f"{name} is not JSON")
 
 
 @settings(max_examples=200, deadline=None)

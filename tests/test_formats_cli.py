@@ -14,7 +14,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumlabel import Graph, Hypergraph, ParseError, ValidationError, constructive, exact
+from sumlabel import (Graph, Hypergraph, ParseError, ValidationError, constructive, exact,
+                      uniform_sums)
 from sumlabel.cli import main
 from sumlabel.formats import parse_graph, parse_hypergraph, serialize_hypergraph
 
@@ -434,12 +435,32 @@ class TestCli:
         code, out = self.run(capsys, "pmf", "2", "2", "--exact")
         assert json.loads(out)["probabilities"] == ["1/4", "1/2", "1/4"]
 
-    @pytest.mark.parametrize("margin", ["1000", "nan", "inf", "-inf"])
+    # at 1e308, 4.0 * C itself overflows to inf, and exp(inf) does not raise
+    @pytest.mark.parametrize("margin", ["1000", "nan", "inf", "-inf", "1e308"])
     def test_pmf_margin_rejects_non_finite_and_overflow(self, capsys, margin):
         code = main(["pmf", "2", "5", f"--margin={margin}"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert re.fullmatch(r"error: margin .*(finite|overflows).*\n", captured.err)
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("runiform", "eps", "NaN"),
+        ("runiform", "edge_probability", "Infinity"),
+        ("runiform", "label_divisor", "NaN"),
+        ("lowerbound", "delta", "NaN"),
+        ("lowerbound", "delta", "-Infinity"),
+        # an int past float range used to escape as an OverflowError
+        ("lowerbound", "delta", "1" + "0" * 400),
+    ])
+    def test_experiment_rejects_non_finite_reals(self, capsys, tmp_path, kind, field, value):
+        # json.loads reads NaN and Infinity, non-standard constants, as floats
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(f'{{"kind": "{kind}", "measure": "shape", "n_vertices": 6, '
+                            f'"uniformity": 2, "edge_count": 10, "{field}": {value}}}')
+        code = main(["experiment", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {field} must be a finite number\n"
 
     def test_verify_exit_codes(self, capsys, instances):
         code, out = self.run(capsys, "verify", str(instances / "full3.hg"),
@@ -651,6 +672,16 @@ def test_internal_fault_exit_three(capsys, monkeypatch, instances, fault):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == f"internal error: {fault!r}\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_json_payload_exit_three(capsys, monkeypatch, value):
+    monkeypatch.setattr(uniform_sums, "peak_probability_margin", lambda *args: value)
+    code = main(["pmf", "2", "2", "--margin", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("internal error: AssertionError(")
+    assert captured.err.count("\n") == 1
 
 
 # argv and the exit code it gives; exit 3 comes from a patched library call

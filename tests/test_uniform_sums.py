@@ -14,7 +14,8 @@ from sumlabel import (TooLarge, exact_collision_probability, iter_sum_pmfs,
                       merge_inequality_check, peak_probability_margin, sum_pmf)
 from sumlabel.uniform_sums import Pmf
 
-from helpers import binomial_tail_le_one, sum_pmf_family_oracle, sum_pmf_oracle
+from helpers import (binomial_tail_le_one, pmf_checks_oracle, sum_pmf_family_oracle,
+                     sum_pmf_oracle)
 
 
 class TestSumPmf:
@@ -127,6 +128,54 @@ class TestCoefficientRecurrence:
         assert 3 * sum(c * x * x for c, x in zip(pmf.counts, d)) == total * ell * (n * n - 1)
 
 
+def check_outcome(make, summands, n, counts) -> str | None:
+    """None when ``make`` accepts the counts, else its ValueError's text."""
+    try:
+        make(summands, n, counts)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def mutated_pmf_counts(draw):
+    """(summands, n_values, counts): true counts of odd or even length,
+    n_values = 1 included, after up to three edits: one cell +-1, a
+    swapped pair, negated ends, a mirrored edit that keeps symmetry, two
+    mirrored pairs swapped (keeping the total too), or small arbitrary
+    counts."""
+    n = draw(st.integers(1, 6), label="n_values")
+    summands = draw(st.integers(1, 7), label="summands")
+    c = list(sum_pmf(summands, n).counts)
+    last = len(c) - 1
+    cell = st.integers(0, last)
+    for kind in draw(st.lists(st.sampled_from(["cell", "swap", "negate_end", "mirrored",
+                                               "mirrored_swap", "arbitrary"]), max_size=3)):
+        if kind == "cell":
+            c[draw(cell)] += draw(st.sampled_from([-1, 1]))
+        elif kind == "swap":
+            i, j = draw(cell), draw(cell)
+            c[i], c[j] = c[j], c[i]
+        elif kind == "negate_end":
+            for i in draw(st.sampled_from([(0,), (last,), (0, last)])):
+                c[i] = -c[i]
+        elif kind == "mirrored":
+            # one edit and its mirror image keep the counts symmetric
+            i, d = draw(cell), draw(st.integers(-3, 3))
+            c[i] += d
+            if last - i != i:
+                c[last - i] += d
+        elif kind == "mirrored_swap":
+            # swapping two mirrored pairs keeps the total as well
+            i, j = draw(cell), draw(cell)
+            if 2 * i != last and 2 * j != last:
+                c[i], c[j] = c[j], c[i]
+                c[last - i], c[last - j] = c[last - j], c[last - i]
+        else:
+            c = draw(st.lists(st.integers(-2, 6), min_size=len(c), max_size=len(c)))
+    return summands, n, tuple(c)
+
+
 class TestPmfValidation:
     # two summands on [3]: support length 5, total 9, true counts (1, 2, 3, 2, 1)
     @pytest.mark.parametrize("counts,message", [
@@ -150,13 +199,38 @@ class TestPmfValidation:
         assert Pmf(2, 3, (1, 2, 3, 2, 1)).denominator == 9
         assert Pmf(3, 2, (1, 3, 3, 1)).max_point() == (4, Fraction(3, 8))
 
+    @pytest.mark.parametrize("summands,n,counts,message", [
+        # symmetric, non-decreasing half, total 9: only the sign is wrong
+        (2, 3, (-1, 3, 5, 3, -1), "negative count"),
+        # flat counts are accepted
+        (3, 2, (2, 2, 2, 2), None),
+        # even length, symmetric and non-decreasing, total 6 of 8
+        (3, 2, (1, 2, 2, 1), "do not total"),
+        # odd length, total 3 of 4; twice the half-sum with the middle is 4
+        (2, 2, (1, 1, 1), "do not total"),
+    ], ids=["negative_ends", "flat", "even_total", "odd_total"])
+    def test_pinned_cases_match_oracle(self, summands, n, counts, message):
+        expected = check_outcome(pmf_checks_oracle, summands, n, counts)
+        assert check_outcome(Pmf, summands, n, counts) == expected
+        if message is None:
+            assert expected is None
+        else:
+            assert message in expected
+
+    @settings(max_examples=600, deadline=None)
+    @given(mutated_pmf_counts())
+    def test_matches_oracle(self, case):
+        assert check_outcome(Pmf, *case) == check_outcome(pmf_checks_oracle, *case)
+
+
 
 class TestPeakMargin:
     def test_small_margin_at_zero_constant(self):
         # e**0 = 1, so the margin is peak * N / 5 <= 1/5
         assert peak_probability_margin(3, 7, 0.0) <= 0.2
 
-    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf"), 1000.0])
+    # at 1e308, 4.0 * c itself overflows to inf, and exp(inf) does not raise
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf"), 1000.0, 1e308])
     def test_rejects_non_finite_and_overflowing_constants(self, c):
         with pytest.raises(ValueError, match="finite|overflows"):
             peak_probability_margin(1, 5, c)
