@@ -14,12 +14,11 @@ from .exact import SolveResult, exact_irr, exact_s, exact_s_star
 from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
                          LowerBoundParams, gen_runiform, lower_bound_instance,
                          lower_bound_params, run_experiment)
-from .hypergraph import (Graph, Hypergraph, Labeling, closed_neighborhood_groups, closed_sums,
-                         edge_sums, is_distinguishing, is_vertex_sum_distinguishing)
+from .hypergraph import Graph, Hypergraph, Labeling, edge_sums, is_distinguishing
 from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, TwoStepResult,
                          classify_edges, quadratic_random_labeling, step_one,
                          step_one_successful, two_step_labeling)
-from .transforms import closed_neighborhood_hypergraph, dual
+from .transforms import closed_neighborhood_hypergraph, dual, is_vertex_sum_distinguishing
 from .uniform_sums import (MergeChecks, Pmf, exact_collision_probability, iter_sum_pmfs,
                            merge_inequality_check, peak_probability_margin, sum_pmf)
 
@@ -31,8 +30,8 @@ __all__ = [
     "InfeasibleParams", "Labeling", "LeafStat", "LowerBoundParams", "MergeChecks",
     "PairClassification", "ParamsOutOfRange", "ParseError", "Pmf", "QuadraticResult",
     "RepairResult", "ShapeError", "SolveResult", "SumLabelError", "TooLarge", "TwoStepConfig",
-    "TwoStepResult", "ValidationError", "classify_edges", "closed_neighborhood_groups",
-    "closed_neighborhood_hypergraph", "closed_sums", "dual", "edge_sums",
+    "TwoStepResult", "ValidationError", "classify_edges",
+    "closed_neighborhood_hypergraph", "dual", "edge_sums",
     "exact_collision_probability", "exact_irr", "exact_s", "exact_s_star", "gen_runiform",
     "is_distinguishing", "is_vertex_sum_distinguishing", "iter_sum_pmfs", "leaf_stat",
     "lower_bound_instance", "lower_bound_params", "merge_inequality_check",

@@ -34,7 +34,8 @@ from typing import Any
 from . import constructive, exact, formats, generators, randomized, transforms, uniform_sums
 from .errors import (BudgetExhausted, DualDegenerate, InfeasibleParams, ParamsOutOfRange,
                      ParseError, SumLabelError, TooLarge, ValidationError)
-from .hypergraph import Graph, Labeling, is_distinguishing, is_vertex_sum_distinguishing
+from .hypergraph import Graph, Labeling, is_distinguishing
+from .transforms import is_vertex_sum_distinguishing
 
 DEFAULT_SEED = randomized.DEFAULT_SEED
 

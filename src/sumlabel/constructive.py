@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ShapeError
-from .hypergraph import (Graph, Labeling, closed_neighborhood_groups, closed_sums,
-                         is_vertex_sum_distinguishing)
+from .hypergraph import Graph, Labeling
+from .transforms import closed_neighborhood_hypergraph, is_vertex_sum_distinguishing
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def s_star_bounds(g: Graph) -> DegreeBoundsReport:
     """Bracket ceil((n' + delta) / (Delta + 1)) <= s*(G) <= xi, and
     xi <= (Delta+1) n when G has an edge.
 
-    n' counts the distinct closed neighborhoods.  The lower bound is
+    n' counts the distinct closed neighborhoods, the edges of
+    :func:`closed_neighborhood_hypergraph`.  The lower bound is
     meaningful for graphs with at least one edge, but all fields are
     computed regardless.  An edgeless graph has xi = n + 1 above
     (Delta+1) n = n, which is s*(G) itself: its closed neighborhoods are
@@ -55,7 +56,7 @@ def s_star_bounds(g: Graph) -> DegreeBoundsReport:
         raise ValueError("bounds need at least one vertex")
     degrees = [g.degree(v) for v in range(n)]
     dmin, dmax = min(degrees), max(degrees)
-    n_distinct = len(closed_neighborhood_groups(g))
+    n_distinct = closed_neighborhood_hypergraph(g).edge_count
     xi = max((n - d - 1) * (d + 1) + 2 for d in degrees)
     lower = -(-(n_distinct + dmin) // (dmax + 1))
     return DegreeBoundsReport(n_distinct, dmin, dmax, xi, lower, (dmax + 1) * n)
@@ -123,7 +124,7 @@ def repair_labeler(g: Graph) -> RepairResult:
     steps: list[RepairStep] = []
     prev_bad: int | None = None
     max_iterations = n * (n - 1) // 2 + 1
-    sums = list(closed_sums(g, Labeling(values)))
+    sums = [len(c) for c in closed]  # the closed sums under all-ones
     for _ in range(max_iterations):
         # a bad pair ties on its closed sum, so look for them only inside
         # the groups of tied vertices

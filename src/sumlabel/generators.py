@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import statistics
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import comb, exp, factorial, floor, inf, log, sqrt
 from random import Random
 from sys import float_info
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import BudgetExhausted, InfeasibleParams, ParamsOutOfRange, TooLarge
 from .exact import DEFAULT_NODE_BUDGET, exact_s
@@ -190,6 +191,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
+        # dict() would also take a list of pairs, which is no config file
+        if not isinstance(data, Mapping):
+            raise ValueError("experiment config must be a JSON object")
         kwargs = dict(data)
         for key in ("seeds", "sizes"):
             if isinstance(kwargs.get(key), list):

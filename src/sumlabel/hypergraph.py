@@ -1,9 +1,7 @@
 """Core data model: hypergraphs, simple graphs, and vertex labelings.
 
 A labeling with positive integer values is *sum distinguishing* for a
-hypergraph when all hyperedge label-sums are pairwise distinct, and
-*vertex sum distinguishing* for a graph when closed-neighborhood sums
-differ for every pair of vertices whose closed neighborhoods differ.
+hypergraph when all hyperedge label-sums are pairwise distinct.
 
 Vertex indices are 0-based everywhere; label values are 1-based
 positive integers.
@@ -169,30 +167,3 @@ def is_distinguishing(h: Hypergraph, f: Labeling) -> bool:
     sums = edge_sums(h, f)
     return len(set(sums)) == len(sums)
 
-
-def closed_sums(g: Graph, f: Labeling) -> tuple[int, ...]:
-    """Closed-neighborhood label-sum of every vertex."""
-    _check_length(g.vertex_count, f)
-    vals = f.values
-    return tuple(vals[v] + sum(vals[u] for u in g.adjacency[v]) for v in range(g.vertex_count))
-
-
-def closed_neighborhood_groups(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Vertices grouped by identical closed neighborhood, in order of the
-    smallest vertex in each group."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(g.vertex_count):
-        groups.setdefault(g.closed_neighborhood(v), []).append(v)
-    return tuple(map(tuple, groups.values()))
-
-
-def is_vertex_sum_distinguishing(g: Graph, f: Labeling) -> bool:
-    """True iff closed-neighborhood sums differ for every pair of vertices
-    with distinct closed neighborhoods.
-
-    Pairs sharing the same closed neighborhood automatically share the
-    same sum and are exempt, so one vertex per group is compared.
-    """
-    sums = closed_sums(g, f)
-    groups = closed_neighborhood_groups(g)
-    return len({sums[vs[0]] for vs in groups}) == len(groups)

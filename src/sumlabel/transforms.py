@@ -1,13 +1,14 @@
 """Structural transformations between graphs and hypergraphs.
 
 Covers the dual hypergraph, which turns irr into s, and the closed
-neighborhood hypergraph, which turns s* into s.
+neighborhood hypergraph, which turns s* into s and through which graph
+labelings are checked.
 """
 
 from __future__ import annotations
 
 from .errors import DualDegenerate, ValidationError
-from .hypergraph import Graph, Hypergraph, closed_neighborhood_groups
+from .hypergraph import Graph, Hypergraph, Labeling, _check_length, is_distinguishing
 
 
 def dual(h: Hypergraph) -> Hypergraph:
@@ -37,12 +38,25 @@ def dual(h: Hypergraph) -> Hypergraph:
 def closed_neighborhood_hypergraph(g: Graph) -> Hypergraph:
     """Hypergraph whose edges are the distinct closed neighborhoods of ``g``.
 
-    Coinciding neighborhoods collapse to a single edge, so the result may
-    have fewer than ``vertex_count`` edges; :func:`closed_neighborhood_groups`
-    reports the collapsed groups.  A graph with no vertices has no closed
+    Edge i is the closed neighborhood of the i-th smallest vertex whose
+    closed neighborhood differs from those of all smaller vertices, so
+    coinciding neighborhoods (twins) collapse to one edge, placed at the
+    smallest of them.  A graph with no vertices has no closed
     neighborhoods and raises :class:`ValidationError`.
     """
     if not g.vertex_count:
         raise ValidationError("graph has no vertices, so it has no closed neighborhoods")
-    edges = [g.closed_neighborhood(group[0]) for group in closed_neighborhood_groups(g)]
-    return Hypergraph(g.vertex_count, edges)
+    closed = dict.fromkeys(adj | {v} for v, adj in enumerate(g.adjacency))
+    return Hypergraph(g.vertex_count, closed)
+
+
+def is_vertex_sum_distinguishing(g: Graph, f: Labeling) -> bool:
+    """True iff closed-neighborhood sums differ for every pair of vertices
+    with distinct closed neighborhoods, that is, iff ``f`` distinguishes
+    :func:`closed_neighborhood_hypergraph` of ``g``.
+
+    A labeling whose length is not ``g.vertex_count`` raises
+    :class:`DimensionError`, also on a graph with no vertices.
+    """
+    _check_length(g.vertex_count, f)
+    return is_distinguishing(closed_neighborhood_hypergraph(g), f)

@@ -17,8 +17,7 @@ from random import Random
 from hypothesis import strategies as st
 
 from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph, Labeling, ParseError,
-                      ShapeError, ValidationError, closed_sums, is_distinguishing,
-                      is_vertex_sum_distinguishing, s_star_bounds)
+                      ShapeError, ValidationError, is_distinguishing, s_star_bounds)
 from sumlabel.constructive import RepairResult, RepairStep
 from sumlabel.exact import _Search
 
@@ -169,10 +168,20 @@ def closed_neighborhood_groups_oracle(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(vs) for vs in sorted(groups.values(), key=lambda vs: vs[0]))
 
 
+def closed_sums_oracle(g: Graph, f: Labeling) -> tuple[int, ...]:
+    """Closed-neighborhood label sum of every vertex, read off ``g.edges``
+    without the library's adjacency or closed-neighborhood hypergraph."""
+    n, values = g.vertex_count, f.values
+    assert len(values) == n
+    return tuple(
+        sum(values[u] for u in range(n) if u == v or (min(u, v), max(u, v)) in g.edges)
+        for v in range(n))
+
+
 def is_vertex_sum_distinguishing_oracle(g: Graph, f: Labeling) -> bool:
     """The earlier ``is_vertex_sum_distinguishing``, which kept one sum per
     closed neighborhood in its own frozenset-keyed dict."""
-    sums = closed_sums(g, f)
+    sums = closed_sums_oracle(g, f)
     by_class: dict[frozenset[int], int] = {}
     for v in range(g.vertex_count):
         by_class[g.closed_neighborhood(v)] = sums[v]
@@ -196,7 +205,7 @@ def brute_force_s_star(g: Graph) -> int:
     cap = 1
     while True:
         for values in product(range(1, cap + 1), repeat=g.vertex_count):
-            if is_vertex_sum_distinguishing(g, Labeling(values)):
+            if is_vertex_sum_distinguishing_oracle(g, Labeling(values)):
                 return cap
         cap += 1
 
@@ -475,13 +484,13 @@ def repair_labeler_oracle(g: Graph) -> RepairResult:
     prev_bad: int | None = None
     max_iterations = n * (n - 1) // 2 + 1
     for _ in range(max_iterations):
-        sums = closed_sums(g, Labeling(values))
+        sums = closed_sums_oracle(g, Labeling(values))
         bad = [(u, v) for u, v in checkable if sums[u] == sums[v]]
         if prev_bad is not None:
             assert len(bad) < prev_bad, "bad-pair count failed to decrease"
         if not bad:
             f = Labeling(values)
-            assert is_vertex_sum_distinguishing(g, f) and f.max_label <= xi
+            assert is_vertex_sum_distinguishing_oracle(g, f) and f.max_label <= xi
             return RepairResult(f, xi, tuple(steps))
         prev_bad = len(bad)
         u, v = bad[0]

@@ -549,6 +549,17 @@ class TestCli:
         assert code == 2 and captured.out == ""
         assert re.fullmatch(rf"error: {field} must be .*\n", captured.err)
 
+    @pytest.mark.parametrize("text", [
+        '[["kind", "runiform"], ["measure", "shape"], ["n_vertices", 5], ["seeds", [1]]]',
+        '"kind"', "5", "null"], ids=["pairs", "string", "number", "null"])
+    def test_experiment_rejects_config_that_is_not_an_object(self, capsys, tmp_path, text):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(text)
+        code = main(["experiment", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: experiment config must be a JSON object\n"
+
     @pytest.mark.parametrize("command", ["verify", "experiment"])
     def test_too_deeply_nested_json_exit_two(self, capsys, instances, tmp_path, command):
         deep = tmp_path / "deep.json"
@@ -849,6 +860,44 @@ def test_label_repair_golden_stdout(capsys, tmp_path, name, build, expected):
     path.write_text(serialize_graph(build()))
     assert main(["label", "repair", str(path)]) == 0
     assert capsys.readouterr().out == expected
+
+
+# `bounds` stdout and the all-ones `verify --kind graph` verdict on the
+# graphs above, recorded while closed sums were still compared on the
+# graph side rather than as edge sums of the closed-neighbourhood
+# hypergraph.  clique4's four twins make all-ones pass.
+GOLDEN_GRAPH_CHECKS = {
+    "path3": ('{"distinct_neighborhoods": 3, "lower": 2, "max_degree": 2, "min_degree": 1, '
+              '"upper_loose": 9, "xi": 4}\n', False),
+    "clique4": ('{"distinct_neighborhoods": 1, "lower": 1, "max_degree": 3, "min_degree": 3, '
+                '"upper_loose": 16, "xi": 2}\n', True),
+    "isolated": ('{"distinct_neighborhoods": 7, "lower": 3, "max_degree": 2, "min_degree": 0, '
+                 '"upper_loose": 21, "xi": 14}\n', False),
+    "disconnected": ('{"distinct_neighborhoods": 6, "lower": 2, "max_degree": 2, '
+                     '"min_degree": 0, "upper_loose": 27, "xi": 20}\n', False),
+    "random40": ('{"distinct_neighborhoods": 40, "lower": 3, "max_degree": 17, "min_degree": 8, '
+                 '"upper_loose": 720, "xi": 398}\n', False),
+}
+
+
+@pytest.mark.parametrize("name,build,repaired", GOLDEN_REPAIR_RUNS,
+                         ids=[run[0] for run in GOLDEN_REPAIR_RUNS])
+def test_bounds_and_verify_graph_golden_stdout(capsys, tmp_path, name, build, repaired):
+    bounds, all_ones_verified = GOLDEN_GRAPH_CHECKS[name]
+    g = build()
+    path = tmp_path / f"{name}.g"
+    path.write_text(serialize_graph(g))
+    assert main(["bounds", str(path)]) == 0
+    assert capsys.readouterr().out == bounds
+    # the repair labeling passes; all-ones fails unless twins cover every tie
+    for labels, verified in ((json.loads(repaired)["labels"], True),
+                             ([1] * g.vertex_count, all_ones_verified)):
+        code = main(["verify", str(path), "--kind", "graph",
+                     "--labels", ",".join(map(str, labels))])
+        assert code == (0 if verified else 1)
+        assert capsys.readouterr().out == (
+            f'{{"labels": {labels}, "max_label": {max(labels)}, '
+            f'"verified": {"true" if verified else "false"}}}\n')
 
 
 # `solve` stdout on fixed instances, recorded before the search checked

@@ -6,8 +6,9 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from sumlabel import (DimensionError, Graph, Hypergraph, Labeling, ValidationError, closed_sums,
-                      edge_sums, is_distinguishing, is_vertex_sum_distinguishing)
+from sumlabel import (DimensionError, Graph, Hypergraph, Labeling, ValidationError,
+                      closed_neighborhood_hypergraph, edge_sums, is_distinguishing,
+                      is_vertex_sum_distinguishing)
 
 from helpers import complete_hypergraph, path_graph, random_hypergraph
 
@@ -150,8 +151,15 @@ class TestVertexSums:
 
     def test_path_distinct(self):
         g = path_graph(3)
-        assert closed_sums(g, Labeling([1, 1, 2])) == (2, 4, 3)
+        assert edge_sums(closed_neighborhood_hypergraph(g), Labeling([1, 1, 2])) == (2, 4, 3)
         assert is_vertex_sum_distinguishing(g, Labeling([1, 1, 2]))
+
+    @pytest.mark.parametrize("n,values", [(3, [1, 1]), (3, [1, 1, 1, 1]), (0, [1])])
+    def test_wrong_length_raises_dimension_error(self, n, values):
+        g = path_graph(n) if n else Graph(0, [])
+        with pytest.raises(DimensionError) as info:
+            is_vertex_sum_distinguishing(g, Labeling(values))
+        assert str(info.value) == f"labeling has {len(values)} values, instance has {n} vertices"
 
     @given(st.data())
     def test_closed_sums_match_bruteforce(self, data):
@@ -161,10 +169,12 @@ class TestVertexSums:
                            else st.just([]), label="edges")
         values = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n), label="labels")
         g, f = Graph(n, chosen), Labeling(values)
-        expected = tuple(
-            sum(values[u] for u in range(n) if u == v or (min(u, v), max(u, v)) in g.edges)
-            for v in range(n))
-        assert closed_sums(g, f) == expected
+        closed = [frozenset(u for u in range(n) if u == v or (min(u, v), max(u, v)) in g.edges)
+                  for v in range(n)]
+        expected = {closed[v]: sum(values[u] for u in closed[v]) for v in range(n)}
+        # one edge per closed-neighbourhood class, carrying that class's sum
+        h = closed_neighborhood_hypergraph(g)
+        assert dict(zip(h.edges, edge_sums(h, f))) == expected
 
 
 class TestPowersOfTwo:

@@ -8,8 +8,8 @@ from random import Random
 import pytest
 
 from sumlabel import (DualDegenerate, Graph, Hypergraph, Labeling, ShapeError, ValidationError,
-                      closed_neighborhood_groups, closed_neighborhood_hypergraph, dual,
-                      is_distinguishing, is_vertex_sum_distinguishing)
+                      closed_neighborhood_hypergraph, dual, is_distinguishing,
+                      is_vertex_sum_distinguishing)
 
 from helpers import (all_graphs, closed_neighborhood_groups_oracle, complete_graph, dual_oracle,
                      is_vertex_sum_distinguishing_oracle, path_graph, random_graph,
@@ -100,7 +100,6 @@ class TestClosedNeighborhoods:
     def test_k2_collapses(self):
         h = closed_neighborhood_hypergraph(Graph(2, [(0, 1)]))
         assert edge_sets(h) == [{0, 1}]
-        assert closed_neighborhood_groups(Graph(2, [(0, 1)])) == ((0, 1),)
 
     def test_edgeless(self):
         h = closed_neighborhood_hypergraph(Graph(3, []))
@@ -110,12 +109,19 @@ class TestClosedNeighborhoods:
         with pytest.raises(ValidationError, match="^graph has no vertices"):
             closed_neighborhood_hypergraph(Graph(0, []))
 
+    @staticmethod
+    def _assert_edges_follow_groups(g):
+        # one edge per group, in the order of each group's smallest vertex
+        groups = closed_neighborhood_groups_oracle(g)
+        expected = tuple(g.closed_neighborhood(vs[0]) for vs in groups)
+        assert closed_neighborhood_hypergraph(g).edges == expected
+
     def test_groups_and_vertex_check_match_earlier_code(self):
         verdicts: Counter[bool] = Counter()
         for n in range(1, 6):
             labelings = [Labeling(values) for values in product((1, 2), repeat=n)]
             for g in all_graphs(n):
-                assert closed_neighborhood_groups(g) == closed_neighborhood_groups_oracle(g)
+                self._assert_edges_follow_groups(g)
                 for f in labelings:
                     verdict = is_vertex_sum_distinguishing(g, f)
                     assert verdict == is_vertex_sum_distinguishing_oracle(g, f)
@@ -124,7 +130,7 @@ class TestClosedNeighborhoods:
         for _ in range(500):
             n = rng.randint(1, 12)
             g = random_graph(rng, n, rng.random())
-            assert closed_neighborhood_groups(g) == closed_neighborhood_groups_oracle(g)
+            self._assert_edges_follow_groups(g)
             labelings = [Labeling([rng.randint(1, 3) for _ in range(n)]) for _ in range(3)]
             for f in [*labelings, Labeling([1 << i for i in range(n)])]:
                 verdict = is_vertex_sum_distinguishing(g, f)
@@ -133,14 +139,14 @@ class TestClosedNeighborhoods:
         assert min(verdicts[True], verdicts[False]) > 1000, verdicts
 
     def test_equivalence_with_vertex_check(self):
-        # same verdict from the graph-side and hypergraph-side checks
+        # same verdict from the graph-side oracle and the hypergraph-side check
         rng = Random(11)
         for n in range(1, 6):
             for g in all_graphs(n):
                 h = closed_neighborhood_hypergraph(g)
                 for _ in range(3):
                     f = Labeling([rng.randint(1, 4) for _ in range(n)])
-                    assert is_vertex_sum_distinguishing(g, f) == is_distinguishing(h, f)
+                    assert is_vertex_sum_distinguishing_oracle(g, f) == is_distinguishing(h, f)
 
 
 class TestOpenNeighborhoods:
@@ -196,4 +202,4 @@ class TestSplitEmbed:
 
 
 def test_complete_graph_single_closed_class():
-    assert len(closed_neighborhood_groups(complete_graph(4))) == 1
+    assert closed_neighborhood_hypergraph(complete_graph(4)).edge_count == 1
