@@ -199,7 +199,11 @@ def _cmd_experiment(args) -> dict[str, Any]:
 
 def _parse_labels(args) -> Labeling:
     if args.labels is not None:
-        return Labeling(int(tok) for tok in args.labels.replace(",", " ").split())
+        tokens = args.labels.replace(",", " ").split()
+        values = formats.leading_integers(tokens)
+        if len(values) < len(tokens):
+            raise ParseError(f"non-integer label {tokens[len(values)]!r}")
+        return Labeling(values)
     try:
         data = json.loads(_read(args.labels_file))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep

@@ -2,9 +2,11 @@
 
 Hypergraph (".hg"): first line "n m", then m lines "k v_1 ... v_k".
 Graph (".g"): first line "n m", then m lines "u v".
-All tokens are whitespace-separated ASCII decimals; vertex indices are
-0-based.  Hypergraph serialization is canonical (edges in stored order,
-vertices sorted within an edge), so parsing it gives the hypergraph back.
+Tokens are separated by whitespace; each is an optional sign followed
+by ASCII digits (``7``, ``+7``, ``007`` and ``-0`` are read; ``1_0``,
+``٣`` and ``0x3`` are not).  Vertex indices are 0-based.  Hypergraph
+serialization is canonical (edges in stored order, vertices sorted
+within an edge), so parsing it gives the hypergraph back.
 
 Both parsers read the text in whole-list passes over one flat list of
 integers (:func:`_read_rows`) and check only the format: header, number
@@ -15,12 +17,22 @@ vertex count, empty edge, vertex range, duplicate edge; :class:`Graph`:
 vertex count, self-loop, vertex range), and the parser turns the edge
 index of its :class:`ValidationError` into a line number.  Of several
 faults, the one on the earliest line is reported.
+
+A text that is all ASCII and has no ``_`` (every file the writer makes)
+is read in one pass, since ``int`` then accepts exactly the grammar
+above.  That pass converts each distinct token once, through a dict
+from spelling to ``int`` owned by the call, so all edges of the parse
+share one ``int`` per spelling (one per vertex id in a written file) and
+the dict holds at most one entry per token.  Any other text, or one
+with a token ``int`` rejects (a non-decimal, or more digits than ``int``
+converts), is read token by token up to the first rejected token.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, repeat, takewhile
 from operator import add, ne, sub
 
 from .errors import ParseError, ValidationError
@@ -32,15 +44,34 @@ def _non_integer(text: str, lineno: int) -> ParseError:
     return ParseError(f"non-integer token in {line!r}", lineno)
 
 
-def _leading_integers(tokens: list[str]) -> list[int]:
-    """The values of the tokens before the first non-integer one."""
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def leading_integers(tokens: list[str]) -> list[int]:
+    """The values of the tokens before the first one that is not an
+    optional sign followed by ASCII digits, or that ``int`` rejects."""
     values = []
-    for tok in tokens:
+    for tok in takewhile(_DECIMAL.fullmatch, tokens):
         try:
             values.append(int(tok))
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             break
     return values
+
+
+def _token_values(text: str) -> list[int]:
+    """:func:`leading_integers` of the tokens of ``text``; read with one
+    ``int`` per distinct token when ``int`` accepts exactly the token
+    grammar on ``text``."""
+    tokens = text.split()
+    if text.isascii() and "_" not in text:  # then int() reads exactly [+-]?[0-9]+
+        spellings = dict.fromkeys(tokens)
+        try:
+            ids = dict(zip(spellings, map(int, spellings)))
+        except ValueError:
+            return leading_integers(tokens)
+        return list(map(ids.__getitem__, tokens))
+    return leading_integers(tokens)
 
 
 def _read_rows(text: str):
@@ -53,10 +84,7 @@ def _read_rows(text: str):
     if not sizes:
         raise ParseError("empty input")
     ends = list(accumulate(sizes))  # one past each data line's last token
-    try:
-        values = list(map(int, text.split()))
-    except ValueError:
-        values = _leading_integers(text.split())
+    values = _token_values(text)
     int_rows = bisect_right(ends, len(values))  # data lines made of integers only
     if not int_rows:
         raise _non_integer(text, linenos[0])

@@ -158,8 +158,8 @@ def _check_length(n: int, f: Labeling) -> None:
 def edge_sums(h: Hypergraph, f: Labeling) -> tuple[int, ...]:
     """Label-sum of every hyperedge, in edge order."""
     _check_length(h.vertex_count, f)
-    vals = f.values
-    return tuple(sum(vals[v] for v in e) for e in h.edges)
+    label = f.values.__getitem__
+    return tuple([sum(map(label, e)) for e in h.edges])
 
 
 def is_distinguishing(h: Hypergraph, f: Labeling) -> bool:

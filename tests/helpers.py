@@ -665,9 +665,16 @@ def binomial_tail_le_one(p: Fraction, t: int) -> Fraction:
 
 
 def _oracle_int_fields(line: str, lineno: int) -> list[int]:
+    """The integers of a line whose tokens are each an optional sign
+    followed by ASCII digits that int() converts."""
+    tokens = line.split()
+    for tok in tokens:
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if not digits or any(c not in "0123456789" for c in digits):
+            raise ParseError(f"non-integer token in {line!r}", lineno)
     try:
-        return [int(tok) for tok in line.split()]
-    except ValueError as exc:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"non-integer token in {line!r}", lineno) from exc
 
 
@@ -756,14 +763,26 @@ def parse_graph_oracle(text: str) -> tuple[int, frozenset[tuple[int, int]]]:
     return n, frozenset(edges)
 
 
+def serialize_hypergraph_oracle(h: Hypergraph) -> str:
+    """The ".hg" text of ``h`` with one ``str()`` per token: the header,
+    then per edge, in stored order, its size and its sorted vertices.
+    Reference for ``formats.serialize_hypergraph``: the same bytes."""
+    lines = [f"{h.vertex_count} {h.edge_count}\n"]
+    for e in h.edges:
+        tokens = [str(len(e))] + [str(v) for v in sorted(e)]
+        lines.append(" ".join(tokens) + "\n")
+    return "".join(lines)
+
+
 LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c")
-BAD_TOKENS = ("x", "1.5", "0x1", "--1", "1e3", "+-2")
+BAD_TOKENS = ("x", "1.5", "0x1", "--1", "1e3", "+-2", "1_0", "\u0663")
 
 
 @st.composite
 def int_token(draw, value: int) -> str:
-    """``value`` as a token int() accepts: plain, with a + sign or with
-    leading zeros; rarely a token that is no integer at all."""
+    """``value`` as a token the parsers accept: plain, with a + sign or
+    with leading zeros; rarely a token that is no decimal integer at all,
+    some of which (``1_0``, a non-ASCII digit) ``int()`` would read."""
     style = draw(st.sampled_from(["plain"] * 30 + ["plus", "zeros", "bad"]))
     if style == "bad":
         return draw(st.sampled_from(BAD_TOKENS))

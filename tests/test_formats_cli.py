@@ -8,21 +8,23 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumlabel import (Graph, Hypergraph, ParseError, ValidationError, constructive, exact,
-                      uniform_sums)
+from sumlabel import (Graph, Hypergraph, ParseError, ValidationError, constructive, dual,
+                      exact, uniform_sums)
 from sumlabel.cli import main
 from sumlabel.formats import parse_graph, parse_hypergraph, serialize_hypergraph
 
 from helpers import (TWO_STEP_INSTANCES, caterpillar_tree, complete_graph,
                      complete_hypergraph, graph_as_hypergraph, graph_texts, hg_texts,
                      parse_graph_oracle, parse_hypergraph_oracle, path_graph, random_graph,
-                     random_hypergraph, random_tree, serialize_graph, star_graph)
+                     random_hypergraph, random_tree, serialize_graph,
+                     serialize_hypergraph_oracle, star_graph)
 
 
 class TestHypergraphFormat:
@@ -62,6 +64,18 @@ class TestHypergraphFormat:
             again = parse_hypergraph(text)
             assert again.vertex_count == h.vertex_count and again.edges == h.edges
             assert serialize_hypergraph(again) == text
+
+    def test_writer_matches_oracle(self):
+        """Byte for byte, on seeded instances, their duals and padded
+        copies with more vertices than vertex tokens."""
+        rng = Random(163)
+        for n, m, size in ((6, 20, 4), (400, 5000, 6), (5000, 3000, 3), (5000, 20000, 8)):
+            h = random_hypergraph(rng, n, m, max_size=size)
+            instances = [h, Hypergraph(n + 10**4, h.edges)]
+            if m > n:
+                instances.append(dual(h))
+            for inst in instances:
+                assert serialize_hypergraph(inst) == serialize_hypergraph_oracle(inst)
 
     @given(st.data())
     def test_round_trip_property(self, data):
@@ -132,6 +146,13 @@ class TestParserAgainstOracle:
         ("4 2\r\n1 3\x0c\x0c1 0x3\n", "line 4: non-integer token in '1 0x3'"),
         ("4 2\x1c1 3\n 1\t03 \n", "line 3: duplicate edge (first seen on line 2)"),
         ("4 1\n3 -1 1 0\n", "line 2: vertex -1 out of range [0, 4)"),
+        ("12 1\n2 0 1_1\n", "line 2: non-integer token in '2 0 1_1'"),
+        ("12 1\n2 0 \u0663\n", "line 2: non-integer token in '2 0 \u0663'"),
+        # more digits than int() converts
+        pytest.param("12 1\n2 0 " + "1" * 5000 + "\n",
+                     f"line 2: non-integer token in '2 0 {'1' * 5000}'", id="5000-digit-vertex"),
+        pytest.param("1" * 5000 + " 1\n2 0 1\n",
+                     f"line 1: non-integer token in '{'1' * 5000} 1'", id="5000-digit-header"),
     ])
     def test_fault_messages(self, text, message):
         got = _parsed(text)
@@ -235,6 +256,10 @@ class TestGraphParserAgainstOracle:
         ("4 1\n-1 -1\n", "line 2: self-loop at vertex -1"),
         ("4 1\n5 -1\n", "line 2: vertex 5 out of range [0, 4)"),
         ("-1 1\n0 x\n", "line 1: vertex count must be non-negative"),
+        ("3 1\n0 \u0661\n", "line 2: non-integer token in '0 \u0661'"),
+        ("3 1\n0 1_0\n", "line 2: non-integer token in '0 1_0'"),
+        pytest.param("3 1\n0 " + "1" * 5000 + "\n",
+                     f"line 2: non-integer token in '0 {'1' * 5000}'", id="5000-digit-vertex"),
     ])
     def test_fault_messages(self, text, message):
         got = _graph_parsed(text)
@@ -257,6 +282,59 @@ class TestGraphParserAgainstOracle:
         text = "\n 3\t+2 \r\n\n2 0\x1c\x0b 1 +002\x0c"
         expected = (3, frozenset({(0, 2), (1, 2)}))
         assert _graph_parsed(text) == _graph_oracle_parsed(text) == expected
+
+
+def _respelled(rng: Random, text: str) -> str:
+    """``text`` with about one token in eight spelled ``00k`` or ``+k``."""
+    def spell(tok: str) -> str:
+        return rng.choice(("00", "+")) + tok if rng.random() < 0.125 else tok
+    return "".join(" ".join(map(spell, line.split())) + "\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_respelled_tokens_parse_the_same(seed):
+    """Canonical text and the same text with some tokens re-spelled parse
+    equal."""
+    rng = Random(seed)
+    h = random_hypergraph(rng, 300, 600, max_size=6)
+    text = serialize_hypergraph_oracle(h)
+    respelled = _respelled(rng, text)
+    assert respelled != text
+    for again in (parse_hypergraph(text), parse_hypergraph(respelled)):
+        assert again.vertex_count == h.vertex_count and again.edges == h.edges
+    g = random_graph(rng, 120, 0.1)
+    text = serialize_graph(g)
+    respelled = _respelled(rng, text)
+    assert respelled != text
+    assert parse_graph(text) == parse_graph(respelled) == g
+
+
+@pytest.mark.parametrize("parse,write", [(parse_hypergraph, serialize_hypergraph_oracle),
+                                         (parse_graph, serialize_graph)],
+                         ids=["hypergraph", "graph"])
+def test_edges_share_one_int_per_vertex_id(parse, write):
+    rng = Random(167)
+    n = 5000
+    if parse is parse_graph:
+        instance = Graph(n, {tuple(sorted(rng.sample(range(n), 2))) for _ in range(20000)})
+    else:
+        instance = random_hypergraph(rng, n, 20000, max_size=10)
+    parsed = parse(write(instance))
+    assert len({id(v) for e in parsed.edges for v in e}) <= n
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_hypergraph("1000000 1\n2 0 1\n"),
+    lambda: parse_graph("1000000 1\n0 1\n"),
+], ids=["parse_hypergraph", "parse_graph"])
+def test_parse_memory_is_sized_by_the_input(call):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 @pytest.fixture
@@ -472,6 +550,16 @@ class TestCli:
         code, out = self.run(capsys, "verify", str(instances / "path3.g"),
                              "--labels", "1 1 2")
         assert code == 0 and json.loads(out)["verified"] is True
+
+    @pytest.mark.parametrize("labels,bad", [("1_0 2 3", "1_0"), ("1,\u0662,3", "\u0662"),
+                                            ("1 2 x", "x"),
+                                            pytest.param("1 2 " + "1" * 5000, "1" * 5000,
+                                                         id="5000-digit-label")])
+    def test_verify_rejects_labels_that_are_not_decimals(self, capsys, instances, labels, bad):
+        code = main(["verify", str(instances / "full3.hg"), "--labels", labels])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: non-integer label {bad!r}\n"
 
     def test_verify_needs_labels(self, capsys, instances):
         with pytest.raises(SystemExit) as exit_info:
@@ -1011,3 +1099,53 @@ def test_pmf_golden_stdout(capsys, argv, expected):
     if expected.startswith("sha256:"):
         out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
     assert out == expected
+
+
+# Written files and stdout of the commands that write instance text, by
+# SHA-256 digest, pinned against changes to the writer.  The dual's input
+# is a seeded random hypergraph; the runiform runs at p = 0.0002 list
+# fewer vertex tokens than vertices.
+GOLDEN_WRITE_RUNS = [
+    ("dual", 1, ("dual", "{input}", "--out", "{out}"),
+     "2a80df7763360ee5c028fa9d77a5067997e9174209213a12982c46f99a8adb0a",
+     "352e007d5aa96efcfa05e33a35bdf554dbe9ebb295b0d73a081c68acbae2ce42"),
+    ("dual", 2, ("dual", "{input}", "--out", "{out}"),
+     "bf878119172389fc41a87169eaeb05c154e4f34d6625809f65eeff129427331e",
+     "94f8643b7f6b8fe55a219b5234137bf4ba644fdbbfb3ff46113f186e184a1f7f"),
+    ("runiform", 1, ("gen", "runiform", "60", "3", "0.05", "--out", "{out}"),
+     "4d1e42a3be72bee86ac7c0b06eb9cac9d25cd94e4c65f131886b85cc5bcd92e7",
+     "c93f2f815798fe8971bfa0253cd4b92934493040b69e9cb94d4e943dc97c5750"),
+    ("runiform", 2, ("gen", "runiform", "60", "3", "0.05", "--out", "{out}"),
+     "a10308c6c2fb4d8812533dec08ccdc7c8aa65242ecb4079e669f13144739d30e",
+     "c7b6b4e3a3e674777aa1b040cb7a7eabc5a4b6bbc7f17ad65308e647b9cea2be"),
+    ("runiform_sparse", 1, ("gen", "runiform", "400", "2", "0.0002", "--out", "{out}"),
+     "3d04d8e11638e761bdb599433e5409f7dceb9fe86d1f4c3168fd5f781328b956",
+     "34202bdd888a311204ea2fb82f63f2a44d0774b9c489620ff8ef96c53c74a359"),
+    ("runiform_sparse", 2, ("gen", "runiform", "400", "2", "0.0002", "--out", "{out}"),
+     "7b3c6829f64c164145ee285c55e0e82640b55e0627e19ec4b436ab1ab4033af8",
+     "c0f0f368f20e5d5ee219c0d6e384338769cadb2eb51d7900ca40103fb9f6443b"),
+    ("lowerbound", 1, ("gen", "lowerbound", "200", "2000", "0.9"),
+     "84e2bd8edbefc733f0d5a23c789d125eaf251749eb37610feac87e8e9d2754fd",
+     None),
+    ("lowerbound", 2, ("gen", "lowerbound", "200", "2000", "0.9"),
+     "280d95e95000499c9ffd232cf7b4ce4c67ec5adfe523b4bc6a7015e0e63bb530",
+     None),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed,argv,stdout,written", GOLDEN_WRITE_RUNS,
+                         ids=[f"{run[0]}-{run[1]}" for run in GOLDEN_WRITE_RUNS])
+def test_written_instance_golden_digests(capsys, tmp_path, name, seed, argv, stdout, written):
+    source, out = tmp_path / "in.hg", tmp_path / "out.hg"
+    source.write_text(serialize_hypergraph_oracle(
+        random_hypergraph(Random(seed), 300, 400, max_size=6)))
+    argv = [a.format(input=source, out=out) for a in argv]
+    if argv[0] == "gen":
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out.replace(str(out), "out.hg").encode()) == stdout
+    assert (_sha256(out.read_bytes()) if out.exists() else None) == written
