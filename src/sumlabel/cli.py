@@ -224,6 +224,14 @@ def _cmd_verify(args) -> tuple[dict[str, Any], int]:
     return payload, 0 if payload["verified"] else 1
 
 
+def _integer(text: str) -> int:
+    """An int argument, read by the integer grammar of the file formats."""
+    values = formats.leading_integers([text])
+    if not values:
+        raise argparse.ArgumentTypeError(f"non-integer value {text!r}")
+    return values[0]
+
+
 def _file_leaf(subparsers, name: str, func, what: str, **defaults) -> argparse.ArgumentParser:
     """Add a leaf command that reads one instance file and runs ``func``."""
     p = subparsers.add_parser(name, help=what)
@@ -248,21 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
             ("sstar", formats.parse_graph, exact.exact_s_star, "s*(G) of a .g file"),
             ("irr", formats.parse_hypergraph, exact.exact_irr, "irr(H) of a .hg file")):
         p = _file_leaf(leaves, variant, _cmd_solve, what, parse=parse, solver=solver)
-        p.add_argument("--budget", type=int, default=exact.DEFAULT_NODE_BUDGET,
+        p.add_argument("--budget", type=_integer, default=exact.DEFAULT_NODE_BUDGET,
                        help="search node budget")
 
     leaves = sub.add_parser("label", help="construct a distinguishing labeling").add_subparsers(
         dest="algorithm", required=True)
     p = _file_leaf(leaves, "quadratic", _cmd_quadratic, "random labels in [m^2] (.hg)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=64, help="retry budget")
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    p.add_argument("--budget", type=_integer, default=64, help="retry budget")
     p = _file_leaf(leaves, "two-step", _cmd_two_step, "random labels in [ceil(m^2/C)] (.hg)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--C", type=float, default=4.0, help="label range divisor")
-    p.add_argument("--K", type=int, default=64, help="dangerous-pair size cutoff")
-    p.add_argument("--P", type=int, default=16, help="non-popular vertex allowance")
-    p.add_argument("--step1-budget", type=int, default=1000)
-    p.add_argument("--step2-budget", type=int, default=1000)
+    p.add_argument("--K", type=_integer, default=64, help="dangerous-pair size cutoff")
+    p.add_argument("--P", type=_integer, default=16, help="non-popular vertex allowance")
+    p.add_argument("--step1-budget", type=_integer, default=1000)
+    p.add_argument("--step2-budget", type=_integer, default=1000)
     _file_leaf(leaves, "repair", _cmd_repair, "deterministic, max label <= xi (.g)")
     _file_leaf(leaves, "tree", _cmd_tree, "deterministic, max label <= 2n-2-L (.g tree)")
 
@@ -273,25 +281,25 @@ def build_parser() -> argparse.ArgumentParser:
         dest="model", required=True)
     p = leaves.add_parser("runiform", help="binomial r-uniform model")
     p.set_defaults(func=_cmd_runiform)
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
+    p.add_argument("n", type=_integer)
+    p.add_argument("r", type=_integer)
     p.add_argument("p", type=float)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--out")
     p = leaves.add_parser("lowerbound", help="hard instance of exact (n, m) shape")
     p.set_defaults(func=_cmd_lowerbound)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_integer)
+    p.add_argument("m", type=_integer)
     p.add_argument("eps", type=float)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--out")
 
     p = sub.add_parser("pmf", help="exact sum-of-uniforms distribution")
     p.set_defaults(func=_cmd_pmf)
-    p.add_argument("summands", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
+    p.add_argument("summands", type=_integer)
+    p.add_argument("n", type=_integer)
+    p.add_argument("--window", nargs=2, type=_integer, metavar=("LO", "HI"))
     p.add_argument("--margin", type=float, metavar="C",
                    help="peak margin of the doubled sum at constant C")
     p.add_argument("--exact", action="store_true", help="emit exact fractions as strings")

@@ -57,9 +57,14 @@ def s_star_bounds(g: Graph) -> DegreeBoundsReport:
     degrees = [g.degree(v) for v in range(n)]
     dmin, dmax = min(degrees), max(degrees)
     n_distinct = closed_neighborhood_hypergraph(g).edge_count
-    xi = max((n - d - 1) * (d + 1) + 2 for d in degrees)
+    xi = _xi(n, degrees)
     lower = -(-(n_distinct + dmin) // (dmax + 1))
     return DegreeBoundsReport(n_distinct, dmin, dmax, xi, lower, (dmax + 1) * n)
+
+
+def _xi(n: int, degrees: list[int]) -> int:
+    """The degree bound xi = max over v of (n - d(v) - 1)(d(v) + 1) + 2."""
+    return max((n - d - 1) * (d + 1) + 2 for d in degrees)
 
 
 def _bitset(positions: list[int]) -> bytearray:
@@ -118,7 +123,7 @@ def repair_labeler(g: Graph) -> RepairResult:
     n = g.vertex_count
     if n < 1:
         raise ValueError("repair needs at least one vertex")
-    xi = s_star_bounds(g).xi
+    xi = _xi(n, [g.degree(v) for v in range(n)])
     closed = [g.closed_neighborhood(v) for v in range(n)]
     values = [1] * n
     steps: list[RepairStep] = []

@@ -125,7 +125,8 @@ def symmetry_classes(h: Hypergraph) -> list[list[int]]:
     classes of equal degree that meet in an edge.
     """
     n = h.vertex_count
-    edges, incidence = h.edges, h.incidence
+    # set algebra below runs on frozensets of this instance's edges and incidences
+    edges, incidence = tuple(map(frozenset, h.edges)), tuple(map(frozenset, h.incidence))
     parent = list(range(n))
 
     def find(v: int) -> int:

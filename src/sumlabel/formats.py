@@ -5,10 +5,11 @@ Graph (".g"): first line "n m", then m lines "u v".
 Tokens are separated by whitespace; each is an optional sign followed
 by ASCII digits (``7``, ``+7``, ``007`` and ``-0`` are read; ``1_0``,
 ``٣`` and ``0x3`` are not).  Vertex indices are 0-based.  Hypergraph
-serialization is canonical (edges in stored order, vertices sorted
-within an edge), so parsing it gives the hypergraph back.
+serialization is canonical (edges in stored order, each as the sorted
+vertex tuple the :class:`Hypergraph` stores), so parsing it gives the
+hypergraph back.
 
-Both parsers read the text in whole-list passes over one flat list of
+Both parsers read the text in whole-list passes over one flat tuple of
 integers (:func:`_read_rows`) and check only the format: header, number
 of edge lines, integer tokens, each line's token count, and a vertex
 repeated inside a hyperedge or a pair repeated in a graph file.  The
@@ -16,7 +17,10 @@ semantic checks run once, in the constructor (:class:`Hypergraph`:
 vertex count, empty edge, vertex range, duplicate edge; :class:`Graph`:
 vertex count, self-loop, vertex range), and the parser turns the edge
 index of its :class:`ValidationError` into a line number.  Of several
-faults, the one on the earliest line is reported.
+faults, the one on the earliest line is reported.  The hypergraph
+parser hands each edge line to the constructor as a tuple slice of the
+values; the constructor collapses a repeated vertex, so the parser finds
+one as an edge that came out shorter than its line.
 
 A text that is all ASCII and has no ``_`` (every file the writer makes)
 is read in one pass, since ``int`` then accepts exactly the grammar
@@ -59,7 +63,7 @@ def leading_integers(tokens: list[str]) -> list[int]:
     return values
 
 
-def _token_values(text: str) -> list[int]:
+def _token_values(text: str) -> tuple[int, ...]:
     """:func:`leading_integers` of the tokens of ``text``; read with one
     ``int`` per distinct token when ``int`` accepts exactly the token
     grammar on ``text``."""
@@ -69,9 +73,10 @@ def _token_values(text: str) -> list[int]:
         try:
             ids = dict(zip(spellings, map(int, spellings)))
         except ValueError:
-            return leading_integers(tokens)
-        return list(map(ids.__getitem__, tokens))
-    return leading_integers(tokens)
+            pass  # a spelling int() rejects: leading_integers names it
+        else:
+            return tuple(map(ids.__getitem__, tokens))
+    return tuple(leading_integers(tokens))
 
 
 def _read_rows(text: str):
@@ -96,19 +101,14 @@ def _read_rows(text: str):
     return n, m, linenos, sizes, ends, values, int_rows
 
 
-def _construct(build, n: int, edges: list, stop: int, linenos: list[int]):
-    """``build(n, edges[:stop])``, with the edge index of its
-    :class:`ValidationError` turned into a line number (the header's when
-    no edge is named; edge i sits on data line i + 1).  The first format
-    fault sits at edge ``stop``, so the constructor's faults, on earlier
-    lines, are reported before it."""
-    try:
-        return build(n, edges if stop == len(edges) else edges[:stop])
-    except ValidationError as exc:
-        reason = exc.reason
-        if exc.first is not None:
-            reason += f" (first seen on line {linenos[exc.first + 1]})"
-        raise ValidationError(reason, linenos[0 if exc.edge is None else exc.edge + 1]) from exc
+def _at_line(exc: ValidationError, linenos: list[int]) -> ValidationError:
+    """A constructor's :class:`ValidationError` with its edge index turned
+    into a line number (the header's when no edge is named; edge i sits
+    on data line i + 1)."""
+    reason = exc.reason
+    if exc.first is not None:
+        reason += f" (first seen on line {linenos[exc.first + 1]})"
+    return ValidationError(reason, linenos[0 if exc.edge is None else exc.edge + 1])
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -121,14 +121,24 @@ def parse_hypergraph(text: str) -> Hypergraph:
     ks = list(map(values.__getitem__, starts))
     listed = list(map(sub, sizes[1:int_rows], repeat(1)))
     bad_k = next(compress(count(), map(ne, ks, listed)), int_edges)
-    edges = list(map(frozenset, map(values.__getitem__,
-                                    map(slice, map(add, starts[:bad_k], repeat(1)),
-                                        ends[1:bad_k + 1]))))
-    repeated = next(compress(count(), map(ne, map(len, edges), ks)), bad_k)
+    edges = list(map(values.__getitem__, map(slice, map(add, starts[:bad_k], repeat(1)),
+                                                ends[1:bad_k + 1])))
 
-    h = _construct(Hypergraph, n, edges, repeated, linenos)
-    if repeated == m:
-        return h
+    # the first format fault sits at edge bad_k, after every edge the
+    # constructor sees; a repeated vertex comes before the constructor's
+    # faults on its line and later ones
+    try:
+        h = Hypergraph(n, edges)
+    except ValidationError as exc:
+        named = -1 if exc.edge is None else exc.edge
+        repeated = next(compress(count(), map(ne, map(len, map(set, edges[:named + 1])), ks)),
+                        None)
+        if repeated is None:
+            raise _at_line(exc, linenos) from exc
+    else:
+        repeated = next(compress(count(), map(ne, map(len, h.edges), ks)), bad_k)
+        if repeated == m:
+            return h
     lineno = linenos[repeated + 1]
     if repeated < bad_k:
         raise ValidationError("repeated vertex inside an edge", lineno)
@@ -141,8 +151,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
 def serialize_hypergraph(h: Hypergraph) -> str:
     lines = [f"{h.vertex_count} {h.edge_count}"]
     for e in h.edges:
-        vs = sorted(e)
-        lines.append(f"{len(vs)} " + " ".join(map(str, vs)))
+        lines.append(f"{len(e)} " + " ".join(map(str, e)))
     return "\n".join(lines) + "\n"
 
 
@@ -159,7 +168,10 @@ def parse_graph(text: str) -> Graph:
     firsts = list(map(seen.setdefault, map(tuple, map(sorted, pairs)), count()))
     repeated = next(compress(count(), map(ne, firsts, count())), bad_size)
 
-    g = _construct(Graph, n, pairs, repeated, linenos)
+    try:
+        g = Graph(n, pairs if repeated == len(pairs) else pairs[:repeated])
+    except ValidationError as exc:
+        raise _at_line(exc, linenos) from exc
     if repeated == m:
         return g
     lineno = linenos[repeated + 1]

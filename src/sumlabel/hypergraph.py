@@ -4,13 +4,17 @@ A labeling with positive integer values is *sum distinguishing* for a
 hypergraph when all hyperedge label-sums are pairwise distinct.
 
 Vertex indices are 0-based everywhere; label values are 1-based
-positive integers.
+positive integers.  A hyperedge is a tuple of vertices in strictly
+increasing order, and a vertex's incidence is a tuple of edge indices
+in increasing order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter, lt
 from typing import Iterable
 
 from .errors import DimensionError, ValidationError
@@ -20,6 +24,11 @@ from .errors import DimensionError, ValidationError
 class Hypergraph:
     """A hypergraph on vertices ``0..vertex_count-1`` with an ordered
     sequence of distinct, nonempty hyperedges.
+
+    Each edge is stored as a tuple of its vertices in strictly increasing
+    order: a vertex repeated inside an input edge collapses, and two
+    edges holding the same vertices are equal.  An input edge that is
+    already such a tuple is kept as it is.
 
     Duplicate edges are rejected at construction: two equal edges can
     never receive distinct sums, so instances containing them have no
@@ -32,17 +41,19 @@ class Hypergraph:
     """
 
     vertex_count: int
-    edges: tuple[frozenset[int], ...]
+    edges: tuple[tuple[int, ...], ...]
 
     def __init__(self, vertex_count: int, edges: Iterable[Iterable[int]]):
         if vertex_count < 1:
             raise ValidationError("hypergraph needs at least one vertex",
                                   reason="need at least one vertex")
-        normalized = tuple(map(frozenset, edges))
+        # an edge already strictly increasing is kept as the same object
+        normalized = tuple([e if all(map(lt, e, e[1:])) else tuple(sorted(set(e)))
+                            for e in map(tuple, edges)])
         # whole-tuple passes; the per-edge scan only runs to name the first fault
         if normalized:
-            covered = set().union(*normalized)
-            if not (all(normalized) and min(covered) >= 0 and max(covered) < vertex_count
+            if not (all(normalized) and min(map(itemgetter(0), normalized)) >= 0
+                    and max(map(itemgetter(-1), normalized)) < vertex_count
                     and len(set(normalized)) == len(normalized)):
                 _raise_first_fault(vertex_count, normalized)
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -53,29 +64,29 @@ class Hypergraph:
         return len(self.edges)
 
     @cached_property
-    def incidence(self) -> tuple[frozenset[int], ...]:
-        """For each vertex, the set of edge indices containing it."""
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex, the indices of the edges containing it, ascending."""
         inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for i, e in enumerate(self.edges):
             for v in e:
                 inc[v].append(i)
-        return tuple(map(frozenset, inc))
+        return tuple(map(tuple, inc))
 
 
-def _raise_first_fault(vertex_count: int, edges: tuple[frozenset[int], ...]) -> None:
+def _raise_first_fault(vertex_count: int, edges: tuple[tuple[int, ...], ...]) -> None:
     """Raise :class:`ValidationError` for the first edge, in order, that is
-    empty, holds a vertex outside [0, vertex_count) or repeats an earlier
-    edge."""
-    first: dict[frozenset[int], int] = {}
+    empty, holds a vertex outside [0, vertex_count) (its smallest such
+    vertex is named) or repeats an earlier edge."""
+    first: dict[tuple[int, ...], int] = {}
     for pos, edge in enumerate(edges):
         if not edge:
             raise ValidationError(f"edge {pos} is empty", reason="empty edge", edge=pos)
-        for v in edge:
-            if not 0 <= v < vertex_count:
-                reason = f"vertex {v} out of range [0, {vertex_count})"
-                raise ValidationError(f"edge {pos}: {reason}", reason=reason, edge=pos)
+        if edge[0] < 0 or edge[-1] >= vertex_count:
+            v = edge[0] if edge[0] < 0 else edge[bisect_left(edge, vertex_count)]
+            reason = f"vertex {v} out of range [0, {vertex_count})"
+            raise ValidationError(f"edge {pos}: {reason}", reason=reason, edge=pos)
         if edge in first:
-            raise ValidationError(f"duplicate edge {sorted(edge)} at position {pos}",
+            raise ValidationError(f"duplicate edge {list(edge)} at position {pos}",
                                   reason="duplicate edge", edge=pos, first=first[edge])
         first[edge] = pos
 

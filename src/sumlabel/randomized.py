@@ -154,7 +154,7 @@ def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
     """
     if not dangerous_cutoff > stray_limit:
         raise ValueError("need dangerous_cutoff > stray_limit")
-    edges = h.edges
+    edges = tuple(map(frozenset, h.edges))  # set algebra below runs on these
     m = len(edges)
     n = h.vertex_count
     # v lies in the symmetric difference of deg(v) * (m - deg(v)) pairs; its

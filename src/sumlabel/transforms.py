@@ -28,7 +28,7 @@ def dual(h: Hypergraph) -> Hypergraph:
         return Hypergraph(h.edge_count, [inc for inc in h.incidence if inc])
     except ValidationError:
         pass  # the only fault left is a duplicate edge
-    groups: dict[frozenset[int], list[int]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for v, inc in enumerate(h.incidence):
         if inc:
             groups.setdefault(inc, []).append(v)
@@ -46,7 +46,11 @@ def closed_neighborhood_hypergraph(g: Graph) -> Hypergraph:
     """
     if not g.vertex_count:
         raise ValidationError("graph has no vertices, so it has no closed neighborhoods")
-    closed = dict.fromkeys(adj | {v} for v, adj in enumerate(g.adjacency))
+    closed: dict[tuple[int, ...], None] = {}
+    for v, adj in enumerate(g.adjacency):
+        members = [v, *adj]
+        members.sort()
+        closed[tuple(members)] = None  # a twin's equal neighbourhood keeps the first place
     return Hypergraph(g.vertex_count, closed)
 
 

@@ -141,6 +141,31 @@ def all_graphs(n: int):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def hypergraph_oracle(vertex_count: int, edges) -> tuple[frozenset[int], ...]:
+    """The edges of ``Hypergraph(vertex_count, edges)`` as the earlier
+    constructor stored them, one frozenset per edge, with its checks run
+    edge by edge: the same edge sets, or a :class:`ValidationError` with
+    the same reason, edge and first.  Of several out-of-range vertices in
+    one edge, the smallest is named."""
+    if vertex_count < 1:
+        raise ValidationError("hypergraph needs at least one vertex",
+                              reason="need at least one vertex")
+    normalized = tuple(map(frozenset, edges))
+    first: dict[frozenset[int], int] = {}
+    for pos, edge in enumerate(normalized):
+        if not edge:
+            raise ValidationError(f"edge {pos} is empty", reason="empty edge", edge=pos)
+        for v in sorted(edge):
+            if not 0 <= v < vertex_count:
+                reason = f"vertex {v} out of range [0, {vertex_count})"
+                raise ValidationError(f"edge {pos}: {reason}", reason=reason, edge=pos)
+        if edge in first:
+            raise ValidationError(f"duplicate edge {sorted(edge)} at position {pos}",
+                                  reason="duplicate edge", edge=pos, first=first[edge])
+        first[edge] = pos
+    return normalized
+
+
 def dual_oracle(h: Hypergraph) -> tuple[Hypergraph, list[int]]:
     """The earlier ``dual``, which grouped vertices by incidence set before
     building the dual.  It returns the uncovered vertices it skipped,
@@ -357,7 +382,7 @@ def symmetry_classes_oracle(h: Hypergraph) -> list[list[int]]:
     other, by exchanging every pair and rebuilding the whole edge set.
     Each vertex's partners must form a partition (the relation is an
     equivalence); classes are sorted and ordered by smallest member."""
-    edges = set(h.edges)
+    edges = set(map(frozenset, h.edges))
     covered = [v for v in range(h.vertex_count) if h.incidence[v]]
 
     def exchangeable(u: int, v: int) -> bool:
@@ -380,7 +405,7 @@ def pair_classes_oracle(h: Hypergraph, cutoff: int, stray_limit: int):
     difference), "dangerous" (other dangerous pairs), "newly" (at most
     ``stray_limit`` non-popular vertices) and "other".
     """
-    edges = h.edges
+    edges = tuple(map(frozenset, h.edges))
     m = len(edges)
     pairs = list(combinations(range(m), 2))
     hits = [0] * h.vertex_count
@@ -408,7 +433,7 @@ def pair_classes_oracle(h: Hypergraph, cutoff: int, stray_limit: int):
 
 def skew_oracle(h: Hypergraph, popular, labels, i: int, j: int) -> int:
     """Popular labels of e_i minus e_j summed over the symmetric difference."""
-    first, second = h.edges[i], h.edges[j]
+    first, second = frozenset(h.edges[i]), frozenset(h.edges[j])
     return (sum(labels[v] for v in (first - second) & popular)
             - sum(labels[v] for v in (second - first) & popular))
 
@@ -714,7 +739,7 @@ def parse_hypergraph_oracle(text: str) -> tuple[int, tuple[frozenset[int], ...]]
             raise ValidationError("empty edge", lineno)
         if len(edge) != len(vertices):
             raise ValidationError("repeated vertex inside an edge", lineno)
-        for v in edge:
+        for v in sorted(edge):
             if not 0 <= v < n:
                 raise ValidationError(f"vertex {v} out of range [0, {n})", lineno)
         if edge in seen:

@@ -94,7 +94,7 @@ def _parsed(text: str):
         h = parse_hypergraph(text)
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc), exc.line
-    return h.vertex_count, h.edges
+    return h.vertex_count, tuple(map(frozenset, h.edges))
 
 
 def _oracle_parsed(text: str):
@@ -337,6 +337,25 @@ def test_parse_memory_is_sized_by_the_input(call):
     assert peak < 10**6
 
 
+def test_parsed_hypergraph_keeps_under_200_bytes_per_edge():
+    """A parse of 2 * 10**4 edges of 2 to 10 vertices keeps one tuple per
+    edge, about 100 B, where one frozenset per edge kept about 570 B."""
+    rng = Random(173)
+    n, m = 5000, 20000
+    edges: set[tuple[int, ...]] = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), rng.randint(2, 10)))))
+    text = serialize_hypergraph_oracle(Hypergraph(n, sorted(edges)))
+    tracemalloc.start()
+    try:
+        parsed = parse_hypergraph(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert parsed.edge_count == m
+    assert kept < 200 * m
+
+
 @pytest.fixture
 def instances(tmp_path):
     full3 = tmp_path / "full3.hg"
@@ -560,6 +579,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: non-integer label {bad!r}\n"
+
+    @pytest.mark.parametrize("argv,argument,bad", [
+        (["gen", "runiform", "\u0668", "2", "0.5"], "n", "\u0668"),
+        (["gen", "runiform", "8", "2", "0.5", "--seed", "\u0661"], "--seed", "\u0661"),
+        (["gen", "lowerbound", "10", "1_0", "0.9"], "m", "1_0"),
+        (["solve", "s", "full3.hg", "--budget", "1_000"], "--budget", "1_000"),
+        (["label", "two-step", "rand.hg", "--K", "1_0"], "--K", "1_0"),
+        (["pmf", "3", "6", "--window", "1", "\u0668"], "--window", "\u0668"),
+        pytest.param(["pmf", "1" * 5000, "3"], "summands", "1" * 5000, id="5000-digit-value"),
+        (["gen", "runiform", " 8", "2", "0.5"], "n", " 8"),
+        (["gen", "runiform", "8", "2", "0.5", "--seed", "7\n"], "--seed", "7\n"),
+    ], ids=["arabic-indic-positional", "arabic-indic-option", "underscore-positional",
+            "underscore-option", "underscore-two-step", "arabic-indic-window", None,
+            "space-padded-positional", "newline-padded-option"])
+    def test_int_arguments_read_the_file_grammar(self, capsys, instances, argv, argument, bad):
+        argv = [str(instances / a) if a.endswith(".hg") else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        usage, error = captured.err.split("\n", 1)[0], captured.err.splitlines()[-1]
+        prog = "sumlabel " + " ".join(argv[:1 if argv[0] == "pmf" else 2])
+        assert usage.startswith(f"usage: {prog} ")
+        assert error == f"{prog}: error: argument {argument}: non-integer value {bad!r}"
+
+    def test_int_arguments_accept_signs_and_leading_zeros(self, capsys):
+        assert main(["gen", "runiform", "+8", "002", "0.5", "--seed", "007"]) == 0
+        respelled = capsys.readouterr().out
+        assert main(["gen", "runiform", "8", "2", "0.5", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == respelled
 
     def test_verify_needs_labels(self, capsys, instances):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,16 +1,120 @@
 """Data model and basic labeling checks."""
 
 from itertools import combinations, product
+from operator import is_, lt
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sumlabel import (DimensionError, Graph, Hypergraph, Labeling, ValidationError,
-                      closed_neighborhood_hypergraph, edge_sums, is_distinguishing,
-                      is_vertex_sum_distinguishing)
+                      closed_neighborhood_hypergraph, dual, edge_sums, gen_runiform,
+                      is_distinguishing, is_vertex_sum_distinguishing, lower_bound_instance)
+from sumlabel.formats import parse_hypergraph
 
-from helpers import complete_hypergraph, path_graph, random_hypergraph
+from helpers import (complete_hypergraph, hypergraph_oracle, path_graph, random_graph,
+                     random_hypergraph)
+
+
+# what an edge may come as: a generator is read once, so each call gets its own
+CONTAINERS = (list, tuple, set, frozenset, iter)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """``(vertex_count, [(container, vertices), ...])``: edges in any order,
+    vertices in any order and repeated, copies of earlier edges, empty
+    edges, out-of-range vertices and, rarely, no vertex at all."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6] * 3 + [0, -1]))
+    top = max(n, 1)
+    vertex = st.sampled_from(list(range(top)) * 4 + [-2, -1, top, top + 3])
+    edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=5), max_size=8))
+    if edges and draw(st.booleans()):  # a copy of an earlier edge, reordered
+        copy = draw(st.permutations(draw(st.sampled_from(edges))))
+        edges.insert(draw(st.integers(0, len(edges))), copy)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        edges.insert(draw(st.integers(0, len(edges))), [])
+    return n, [(draw(st.sampled_from(CONTAINERS)), vs) for vs in edges]
+
+
+def _edge_sets_or_error(build, n, spec):
+    """``build(n, edges)`` with each edge in its container, as a tuple of
+    frozensets, or its error's class, message, reason, edge and first."""
+    try:
+        return tuple(map(frozenset, build(n, [make(vs) for make, vs in spec])))
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.reason, exc.edge, exc.first
+
+
+def assert_canonical(h: Hypergraph) -> None:
+    """``edges`` and ``incidence`` are tuples of strictly increasing int tuples."""
+    assert type(h.edges) is tuple and type(h.incidence) is tuple
+    for seq in (*h.edges, *h.incidence):
+        assert type(seq) is tuple and {*map(type, seq)} <= {int}
+        assert all(map(lt, seq, seq[1:]))
+
+
+class TestConstructorAgainstOracle:
+    """The constructor keeps the edge sets, and raises the errors, of the
+    earlier one that stored one frozenset per edge."""
+
+    @settings(max_examples=400)
+    @given(constructor_inputs())
+    def test_same_edge_sets_or_error(self, case):
+        n, spec = case
+        got = _edge_sets_or_error(lambda n, edges: Hypergraph(n, edges).edges, n, spec)
+        assert got == _edge_sets_or_error(hypergraph_oracle, n, spec)
+        if not got or got[0] is not ValidationError:
+            assert_canonical(Hypergraph(n, [make(vs) for make, vs in spec]))
+
+    def test_canonical_edges_are_kept_as_they_are(self):
+        edges = [(0, 1), (1, 2), (0, 2)]
+        h = Hypergraph(3, edges)
+        assert all(map(is_, h.edges, edges))
+        assert all(map(is_, dual(h).edges, h.incidence))
+
+    def test_only_edges_out_of_order_are_rebuilt(self):
+        edges = [(0, 1), (2, 1), [2, 0, 2], (3,)]
+        h = Hypergraph(4, edges)
+        assert h.edges == ((0, 1), (1, 2), (0, 2), (3,))
+        assert h.edges[0] is edges[0] and h.edges[3] is edges[3]
+
+    @pytest.mark.parametrize("edge,named", [((-1, 0, 4), -1), ((-2, -1), -2),
+                                            ((0, 7, 5), 5), ((9, 4), 4)])
+    def test_names_the_smallest_out_of_range_vertex(self, edge, named):
+        with pytest.raises(ValidationError) as err:
+            Hypergraph(4, [(0,), edge])
+        assert (err.value.edge, err.value.reason) == (1, f"vertex {named} out of range [0, 4)")
+
+
+def _shuffled_text(rng: Random, h: Hypergraph) -> str:
+    """The ".hg" text of ``h`` with the vertices of each line shuffled."""
+    lines = [f"{h.vertex_count} {h.edge_count}"]
+    for e in h.edges:
+        vs = rng.sample(e, len(e))
+        lines.append(" ".join(map(str, [len(vs), *vs])))
+    return "\n".join(lines) + "\n"
+
+
+class TestCanonicalShape:
+    """Every way to make a hypergraph gives strictly increasing int tuples."""
+
+    def test_parse_hypergraph_and_dual(self):
+        rng = Random(181)
+        h = random_hypergraph(rng, 30, 60, max_size=8)
+        parsed = parse_hypergraph(_shuffled_text(rng, h))
+        assert_canonical(parsed)
+        assert [*map(set, parsed.edges)] == [*map(set, h.edges)]
+        assert_canonical(dual(parsed))
+
+    def test_generators(self):
+        assert_canonical(gen_runiform(9, 3, 0.4, 5))
+        assert_canonical(lower_bound_instance(100, 100, 0.9, seed=5).hypergraph)
+
+    def test_closed_neighborhood_hypergraph(self):
+        rng = Random(191)
+        for _ in range(20):
+            assert_canonical(closed_neighborhood_hypergraph(random_graph(rng, 12, 0.3)))
 
 
 class TestConstruction:
@@ -135,7 +239,7 @@ class TestIsDistinguishing:
         for _ in range(25):
             n = rng.randint(2, 4)
             h = random_hypergraph(rng, n, rng.randint(1, 3))
-            h = Hypergraph(n, {*h.edges, *(frozenset({v}) for v in range(n))})
+            h = Hypergraph(n, {*map(frozenset, h.edges), *(frozenset({v}) for v in range(n))})
             for values in product(range(1, 4), repeat=n):
                 if is_distinguishing(h, Labeling(values)):
                     assert len(set(values)) == n
@@ -174,7 +278,7 @@ class TestVertexSums:
         expected = {closed[v]: sum(values[u] for u in closed[v]) for v in range(n)}
         # one edge per closed-neighbourhood class, carrying that class's sum
         h = closed_neighborhood_hypergraph(g)
-        assert dict(zip(h.edges, edge_sums(h, f))) == expected
+        assert dict(zip(map(frozenset, h.edges), edge_sums(h, f))) == expected
 
 
 class TestPowersOfTwo:
@@ -197,7 +301,8 @@ class TestPowersOfTwo:
 
 def test_incidence_sets():
     h = Hypergraph(3, [{0, 1}, {1, 2}])
-    assert h.incidence == (frozenset({0}), frozenset({0, 1}), frozenset({1}))
+    assert tuple(map(frozenset, h.incidence)) == (
+        frozenset({0}), frozenset({0, 1}), frozenset({1}))
 
 
 def test_incidence_matches_membership():
@@ -205,7 +310,7 @@ def test_incidence_matches_membership():
     for _ in range(50):
         n = rng.randint(1, 9)
         h = random_hypergraph(rng, n, rng.randint(0, min(12, 2**n - 1)))
-        assert h.incidence == tuple(
+        assert tuple(map(frozenset, h.incidence)) == tuple(
             frozenset(i for i, e in enumerate(h.edges) if v in e) for v in range(n))
 
 
