@@ -11,7 +11,8 @@ Usage: python scripts/probe_hard_instances.py [--seeds K]
 
 import argparse
 
-from sumlabel import ExperimentConfig, lower_bound_instance, run_experiment
+from sumlabel import (ExperimentConfig, ParamsOutOfRange, lower_bound_instance,
+                      lower_bound_params, run_experiment)
 
 
 def main() -> None:
@@ -22,9 +23,14 @@ def main() -> None:
     print("== hard-instance shapes ==")
     for n, m, eps in ((100, 100, 0.9), (50, 80, 0.8), (40, 50, 0.95), (200, 300, 0.85)):
         gen = lower_bound_instance(n, m, eps, seed=7)
+        # the paper's edge probability at the core's (r, N), when it is one
+        try:
+            params = lower_bound_params(gen.uniformity, gen.core_vertex_count)
+            prob = f"p={params.edge_probability:.3f}"
+        except ParamsOutOfRange:
+            prob = "p>1"
         print(f"n={n:4d} m={m:4d} eps={eps:.2f} -> r={gen.uniformity} "
-              f"core={gen.core_vertex_count:3d} padding={gen.padding_vertices:3d} "
-              f"p={gen.edge_probability:.3f}")
+              f"core={gen.core_vertex_count:3d} padding={gen.padding_vertices:3d} {prob}")
 
     print("\n== exact s on tiny dense 2-uniform samples ==")
     for n, p in ((5, 0.6), (6, 0.8), (6, 0.95)):

@@ -32,15 +32,14 @@ from pathlib import Path
 from typing import Any
 
 from . import constructive, exact, formats, generators, randomized, transforms, uniform_sums
-from .errors import (BudgetExhausted, DualDegenerate, InfeasibleParams, ParamsOutOfRange,
-                     ParseError, SumLabelError, TooLarge, ValidationError)
+from .errors import (BudgetExhausted, DualDegenerate, InfeasibleParams, ParseError,
+                     SumLabelError, TooLarge, ValidationError)
 from .hypergraph import Graph, Labeling, is_distinguishing
 from .transforms import is_vertex_sum_distinguishing
 
 DEFAULT_SEED = randomized.DEFAULT_SEED
 
-_RESULT_ERRORS = (DualDegenerate, BudgetExhausted, InfeasibleParams, ParamsOutOfRange,
-                  TooLarge)
+_RESULT_ERRORS = (DualDegenerate, BudgetExhausted, InfeasibleParams, TooLarge)
 _INTERNAL_ERRORS = (AssertionError, RecursionError)
 
 
@@ -232,6 +231,17 @@ def _integer(text: str) -> int:
     return values[0]
 
 
+def _real(text: str) -> float:
+    """A float argument in ASCII without digit-group underscores, which
+    ``float()`` alone would also read."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"non-float value {text!r}")
+
+
 def _file_leaf(subparsers, name: str, func, what: str, **defaults) -> argparse.ArgumentParser:
     """Add a leaf command that reads one instance file and runs ``func``."""
     p = subparsers.add_parser(name, help=what)
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_integer, default=64, help="retry budget")
     p = _file_leaf(leaves, "two-step", _cmd_two_step, "random labels in [ceil(m^2/C)] (.hg)")
     p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
-    p.add_argument("--C", type=float, default=4.0, help="label range divisor")
+    p.add_argument("--C", type=_real, default=4.0, help="label range divisor")
     p.add_argument("--K", type=_integer, default=64, help="dangerous-pair size cutoff")
     p.add_argument("--P", type=_integer, default=16, help="non-popular vertex allowance")
     p.add_argument("--step1-budget", type=_integer, default=1000)
@@ -283,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_runiform)
     p.add_argument("n", type=_integer)
     p.add_argument("r", type=_integer)
-    p.add_argument("p", type=float)
+    p.add_argument("p", type=_real)
     p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--out")
     p = leaves.add_parser("lowerbound", help="hard instance of exact (n, m) shape")
     p.set_defaults(func=_cmd_lowerbound)
     p.add_argument("n", type=_integer)
     p.add_argument("m", type=_integer)
-    p.add_argument("eps", type=float)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("eps", type=_real)
+    p.add_argument("--delta", type=_real, default=0.1)
     p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p.add_argument("--out")
 
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("summands", type=_integer)
     p.add_argument("n", type=_integer)
     p.add_argument("--window", nargs=2, type=_integer, metavar=("LO", "HI"))
-    p.add_argument("--margin", type=float, metavar="C",
+    p.add_argument("--margin", type=_real, metavar="C",
                    help="peak margin of the doubled sum at constant C")
     p.add_argument("--exact", action="store_true", help="emit exact fractions as strings")
 

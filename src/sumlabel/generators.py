@@ -3,11 +3,9 @@
 ``gen_runiform`` samples every r-subset independently (the r-uniform
 analogue of the binomial random graph).  ``lower_bound_instance``
 assembles hard-to-distinguish instances at a requested (n, m) shape:
-it picks the uniformity from the hardness exponent, samples a dense
-r-uniform core on a smaller vertex set, adjusts to exactly m edges and
-pads with isolated vertices.  At desk scale the theoretical edge
-probability routinely exceeds 1, in which case it is clamped to 1 and
-the edge adjustment does the rest.
+it picks the uniformity from the hardness exponent, draws exactly m
+r-uniform edges on a smaller core vertex set and pads with isolated
+vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import statistics
 import time
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, exp, factorial, floor, inf, log, sqrt
 from random import Random
 from sys import float_info
@@ -83,13 +81,12 @@ def gen_runiform(vertex_count: int, uniformity: int, p: float, seed: int = DEFAU
 @dataclass(frozen=True)
 class GeneratedInstance:
     """A generated hypergraph plus the construction metadata tests care
-    about (core size, padding, clamped probability)."""
+    about (core size, padding)."""
 
     hypergraph: Hypergraph
     uniformity: int
     core_vertex_count: int
     padding_vertices: int
-    edge_probability: float
 
 
 def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
@@ -97,10 +94,9 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
     """Hard instance with exactly n vertices and m edges.
 
     The uniformity is the smallest r >= 2 with eps > 2/(r+1); the core
-    has N = floor(m**(2/(r+1+2*delta))) vertices; edges are sampled at
-    the (clamped) hard-instance probability and then topped up or
-    trimmed, uniformly at random, to exactly m; the remaining n - N
-    vertices stay isolated.
+    has N = floor(m**(2/(r+1+2*delta))) vertices; the edges are a uniform
+    m-subset of the core's r-sets, one seeded draw, in lexicographic
+    order; the remaining n - N vertices stay isolated.
     """
     if not 0.0 < eps < 1.0:
         raise InfeasibleParams("eps must lie strictly between 0 and 1")
@@ -119,19 +115,11 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
     if core < r or comb(core, r) < m:
         raise InfeasibleParams(f"core of {core} vertices cannot carry {m} {r}-uniform edges")
     _guarded_combinations(core, r)
-    try:
-        p = lower_bound_params(r, core).edge_probability
-    except ParamsOutOfRange:
-        p = 1.0
-    rng = Random(seed)
-    chosen = {c for c in combinations(range(core), r) if rng.random() < p}
-    if len(chosen) > m:
-        chosen = set(rng.sample(sorted(chosen), m))
-    elif len(chosen) < m:
-        missing = [c for c in combinations(range(core), r) if c not in chosen]
-        chosen.update(rng.sample(missing, m - len(chosen)))
-    h = Hypergraph(n, sorted(chosen))
-    return GeneratedInstance(h, r, core, n - core, p)
+    marks = bytearray(comb(core, r))
+    for i in Random(seed).sample(range(len(marks)), m):
+        marks[i] = 1
+    h = Hypergraph(n, list(compress(combinations(range(core), r), marks)))
+    return GeneratedInstance(h, r, core, n - core)
 
 
 _KINDS = ("complete", "runiform", "lowerbound")

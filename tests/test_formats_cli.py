@@ -604,6 +604,26 @@ class TestCli:
         assert usage.startswith(f"usage: {prog} ")
         assert error == f"{prog}: error: argument {argument}: non-integer value {bad!r}"
 
+    @pytest.mark.parametrize("bad", ["\u0660.\u0665", "1_0", "0.5x"],
+                             ids=["arabic-indic", "underscore", "trailing-letter"])
+    @pytest.mark.parametrize("argv,argument", [
+        (["gen", "runiform", "6", "2", "{}"], "p"),
+        (["gen", "lowerbound", "10", "20", "{}"], "eps"),
+        (["gen", "lowerbound", "10", "20", "0.9", "--delta", "{}"], "--delta"),
+        (["label", "two-step", "rand.hg", "--C", "{}"], "--C"),
+        (["pmf", "2", "3", "--margin", "{}"], "--margin"),
+    ], ids=["runiform-p", "lowerbound-eps", "lowerbound-delta", "two-step-C", "pmf-margin"])
+    def test_float_arguments_are_ascii_without_underscores(self, capsys, instances, argv,
+                                                           argument, bad):
+        argv = [str(instances / a) if a.endswith(".hg") else a.format(bad) for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        prog = "sumlabel " + " ".join(argv[:1 if argv[0] == "pmf" else 2])
+        assert captured.err.splitlines()[-1] == (
+            f"{prog}: error: argument {argument}: non-float value {bad!r}")
+
     def test_int_arguments_accept_signs_and_leading_zeros(self, capsys):
         assert main(["gen", "runiform", "+8", "002", "0.5", "--seed", "007"]) == 0
         respelled = capsys.readouterr().out
@@ -1174,10 +1194,10 @@ GOLDEN_WRITE_RUNS = [
      "7b3c6829f64c164145ee285c55e0e82640b55e0627e19ec4b436ab1ab4033af8",
      "c0f0f368f20e5d5ee219c0d6e384338769cadb2eb51d7900ca40103fb9f6443b"),
     ("lowerbound", 1, ("gen", "lowerbound", "200", "2000", "0.9"),
-     "84e2bd8edbefc733f0d5a23c789d125eaf251749eb37610feac87e8e9d2754fd",
+     "668b938a72c5f466696f9d8bc860b280b565b6d05255f6dfa64a7a2e42ab6840",
      None),
     ("lowerbound", 2, ("gen", "lowerbound", "200", "2000", "0.9"),
-     "280d95e95000499c9ffd232cf7b4ce4c67ec5adfe523b4bc6a7015e0e63bb530",
+     "3e2879a7917a49e38ab00f48b68b15f00c9ad50d7e0f0f81313f072bd53b6471",
      None),
 ]
 

@@ -1,5 +1,7 @@
 """Instance generators, parameter formulas, and the experiment runner."""
 
+from collections import Counter
+from itertools import combinations
 from math import comb, factorial, log, sqrt
 
 import pytest
@@ -72,14 +74,30 @@ class TestLowerBoundInstance:
             assert gen.padding_vertices == n - gen.core_vertex_count
             assert all(len(e) == gen.uniformity for e in h.edges)
 
-    def test_top_up_to_exactly_m(self):
-        # a 300-vertex core at p ~ 0.994 samples about 44,580 of the 44,850
-        # pairs, so the missing edges are drawn from the pairs left out
-        m = 44_845
-        gen = lower_bound_instance(300, m, 0.9, seed=1, delta=0.377)
-        assert gen.core_vertex_count == 300 and gen.padding_vertices == 0
-        assert gen.edge_probability * comb(300, 2) < m - 200
-        assert gen.hypergraph.edge_count == m
+    def test_whole_core(self):
+        # m = 21 puts the core at floor(21**(2/3)) = 7, whose 21 pairs are all taken
+        gen = lower_bound_instance(7, 21, 0.9, seed=1, delta=0.0)
+        assert gen.core_vertex_count == 7 and gen.padding_vertices == 0
+        assert gen.hypergraph.edges == tuple(combinations(range(7), 2))
+
+    def test_edges_in_lexicographic_order(self):
+        for n, m, eps in ((100, 100, 0.9), (50, 80, 0.8), (60, 300, 0.6)):
+            edges = lower_bound_instance(n, m, eps, seed=3).hypergraph.edges
+            assert all(a < b for a, b in zip(edges, edges[1:]))
+
+    def test_left_out_pair_is_uniform(self):
+        # a 7-vertex core carrying 20 of its 21 pairs leaves one out; over
+        # 2,100 seeds each pair should be left out about 100 times, and the
+        # chi-squared statistic (20 degrees of freedom) stays below its
+        # 0.999 quantile, 45.3
+        pairs = list(combinations(range(7), 2))
+        left_out = Counter()
+        for seed in range(2_100):
+            gen = lower_bound_instance(7, 20, 0.9, seed=seed, delta=0.0)
+            assert gen.core_vertex_count == 7
+            left_out.update(set(pairs) - set(gen.hypergraph.edges))
+        assert sum(left_out.values()) == 2_100
+        assert sum((left_out[e] - 100) ** 2 / 100 for e in pairs) < 45.3
 
     def test_eps_guard(self):
         with pytest.raises(InfeasibleParams):
