@@ -198,10 +198,10 @@ def _cmd_experiment(args) -> dict[str, Any]:
 
 def _parse_labels(args) -> Labeling:
     if args.labels is not None:
-        tokens = args.labels.replace(",", " ").split()
-        values = formats.leading_integers(tokens)
-        if len(values) < len(tokens):
-            raise ParseError(f"non-integer label {tokens[len(values)]!r}")
+        try:
+            values = formats.integers(args.labels.replace(",", " ").split())
+        except ValueError as exc:
+            raise ParseError(f"non-integer label {exc.args[0]!r}") from None
         return Labeling(values)
     try:
         data = json.loads(_read(args.labels_file))
@@ -225,17 +225,17 @@ def _cmd_verify(args) -> tuple[dict[str, Any], int]:
 
 def _integer(text: str) -> int:
     """An int argument, read by the integer grammar of the file formats."""
-    values = formats.leading_integers([text])
-    if not values:
-        raise argparse.ArgumentTypeError(f"non-integer value {text!r}")
-    return values[0]
+    try:
+        return formats.integers([text])[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"non-integer value {text!r}") from None
 
 
 def _real(text: str) -> float:
-    """A float argument in ASCII without digit-group underscores, which
-    ``float()`` alone would also read."""
+    """A float argument in ASCII without digit-group underscores or
+    surrounding whitespace, which ``float()`` alone would also read."""
     try:
-        if text.isascii() and "_" not in text:
+        if text.isascii() and "_" not in text and text.strip() == text:
             return float(text)
     except ValueError:
         pass

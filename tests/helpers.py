@@ -710,7 +710,7 @@ def _oracle_data_lines(text: str) -> list[tuple[int, str]]:
 def parse_hypergraph_oracle(text: str) -> tuple[int, tuple[frozenset[int], ...]]:
     """``(vertex_count, edges)`` of a ".hg" text by the earlier line-by-line
     parser, which runs every format and semantic check itself, line by
-    line, and builds no ``Hypergraph``.  Reference for the columnar
+    line, and builds no ``Hypergraph``.  Reference for
     ``formats.parse_hypergraph``: same result, or the same exception class
     and message."""
     lines = _oracle_data_lines(text)
