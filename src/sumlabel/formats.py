@@ -9,15 +9,15 @@ serialization is canonical (edges in stored order, each as the sorted
 vertex tuple the :class:`Hypergraph` stores), so parsing it gives the
 hypergraph back.
 
-Both parsers read the text line by line (:func:`_read_rows`): each data
-line is split once and its tokens are mapped through a table from
-spelling to ``int`` owned by the call, which checks a spelling against
-the grammar and converts it the first time it is seen.  So all edges of
-a parse share one ``int`` per spelling (one per vertex id in a written
-file), the table holds at most one entry per distinct token, and only
-one line's tokens are alive at a time.  Reading stops at the first line
-holding a rejected token: a non-decimal, or one of more digits than
-``int`` converts.
+Both parsers read the text in one pass (:func:`_read_rows`): each line
+is split once and its tokens are mapped, into one tuple per line,
+through a table from spelling to ``int`` owned by the call, which checks
+a spelling against the grammar and converts it the first time it is
+seen.  So all edges of a parse share one ``int`` per spelling (one per
+vertex id in a written file), the table holds at most one entry per
+distinct token, and only one line's tokens are alive at a time.  Reading
+stops at the first line holding a rejected token: a non-decimal, or one
+of more digits than ``int`` converts.
 
 The parsers check only the format: header, number of edge lines,
 integer tokens, each line's token count, and a vertex repeated inside a
@@ -70,25 +70,24 @@ def integers(tokens: list[str]) -> list[int]:
 def _read_rows(text: str):
     """The reader both parsers share: ``(n, m, linenos, rows, bad)``, after
     the checks of the header and of the number of edge lines.  ``rows``
-    holds the values of each edge line before the first line with a
-    rejected token; ``bad`` is the :class:`ParseError` of that line, or
-    ``None``."""
+    holds the values of each edge line, as a tuple, before the first line
+    with a rejected token; ``bad`` is the :class:`ParseError` of that line,
+    or ``None``."""
     lines = text.splitlines()
-    value = _Integers().__getitem__
-    linenos: list[int] = []  # line number of each data line
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []  # one per line read, () for a blank one
     bad = None
     try:
-        for lineno, line in enumerate(lines, 1):
-            row = list(map(value, line.split()))
-            if row:
-                linenos.append(lineno)
-                rows.append(row)
+        # extend keeps the rows made before a rejected token stops the chain
+        rows.extend(map(tuple, map(map, repeat(_Integers().__getitem__),
+                                   map(str.split, lines))))
     except ValueError:
-        bad = ParseError(f"non-integer token in {line!r}", lineno)
-        linenos += compress(count(lineno), map(str.strip, lines[lineno - 1:]))
+        bad = ParseError(f"non-integer token in {lines[len(rows)]!r}", len(rows) + 1)
+    linenos = list(compress(count(1), rows))  # line number of each data line
+    if bad is not None:
+        linenos += compress(count(bad.line), map(str.strip, lines[bad.line - 1:]))
     if not linenos:
         raise ParseError("empty input")
+    rows = list(filter(None, rows))
     if not rows:
         raise bad
     header = rows.pop(0)
@@ -115,7 +114,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
     # edge i sits on data line i + 1: its declared k, then its vertices
     ks = list(map(itemgetter(0), rows))
-    edges = list(map(tuple, map(itemgetter(slice(1, None)), rows)))
+    edges = list(map(itemgetter(slice(1, None)), rows))
     del rows
     int_edges = len(edges)
     bad_k = next(compress(count(), map(ne, ks, map(len, edges))), int_edges)
@@ -157,7 +156,7 @@ def parse_graph(text: str) -> Graph:
     # edge i sits on data line i + 1
     int_edges = len(rows)
     bad_size = next(compress(count(), map(ne, map(len, rows), repeat(2))), int_edges)
-    pairs = list(map(tuple, rows[:bad_size]))
+    pairs = rows[:bad_size]
     seen: dict[tuple[int, int], int] = {}
     firsts = list(map(seen.setdefault, map(tuple, map(sorted, pairs)), count()))
     repeated = next(compress(count(), map(ne, firsts, count())), bad_size)

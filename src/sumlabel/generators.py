@@ -96,7 +96,8 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
     The uniformity is the smallest r >= 2 with eps > 2/(r+1); the core
     has N = floor(m**(2/(r+1+2*delta))) vertices; the edges are a uniform
     m-subset of the core's r-sets, one seeded draw, in lexicographic
-    order; the remaining n - N vertices stay isolated.
+    order; the remaining n - N vertices stay isolated.  An m too large
+    for a float raises :class:`TooLarge`.
     """
     if not 0.0 < eps < 1.0:
         raise InfeasibleParams("eps must lie strictly between 0 and 1")
@@ -109,7 +110,10 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
         r += 1
         if r > UNIFORMITY_CAP:
             raise InfeasibleParams(f"no admissible uniformity below {UNIFORMITY_CAP} for eps={eps}")
-    core = floor(m ** (2.0 / (r + 1 + 2.0 * delta)))
+    try:
+        core = floor(m ** (2.0 / (r + 1 + 2.0 * delta)))
+    except OverflowError:  # m does not fit a float
+        raise TooLarge("edge count exceeds the float range") from None
     if core > n:
         raise InfeasibleParams(f"core size {core} exceeds the {n} available vertices")
     if core < r or comb(core, r) < m:

@@ -114,6 +114,20 @@ def test_experiment_field_of_wrong_type(data):
     assert code == 2 and err.startswith(f"error: {field} must be ")
 
 
+# counts past 2**1024 do not fit a float; small ones reach exit 0
+SHAPE_COUNTS = st.integers(1, 60) | st.integers(2**1000, 2**1100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8) | SHAPE_COUNTS, m=SHAPE_COUNTS, eps=st.floats(0, 1) | st.floats())
+def test_experiment_lowerbound_any_shape(n, m, eps):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"kind": "lowerbound", "measure": "shape", "seeds": [1],
+                                      "n_vertices": n, "edge_count": m, "eps": eps}))
+        check_exit(*run_cli(["experiment", str(config)]))
+
+
 # argv after the instance path, per subcommand that reads a ".g" file
 GRAPH_COMMANDS = {
     "bounds": (["bounds"], []),
@@ -197,6 +211,16 @@ def test_gen_lowerbound_any_float(n, m, eps, delta):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "lowerbound.hg"
         # "--" keeps a negative eps such as -inf from reading as an option
+        check_exit(*run_cli(["gen", "lowerbound", f"--delta={delta}", f"--out={out}", "--",
+                             str(n), str(m), str(eps)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8) | SHAPE_COUNTS, m=SHAPE_COUNTS, eps=st.floats(0, 1) | st.floats(),
+       delta=DELTAS)
+def test_gen_lowerbound_any_shape(n, m, eps, delta):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "lowerbound.hg"
         check_exit(*run_cli(["gen", "lowerbound", f"--delta={delta}", f"--out={out}", "--",
                              str(n), str(m), str(eps)]))
 

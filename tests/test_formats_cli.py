@@ -77,6 +77,19 @@ class TestHypergraphFormat:
             for inst in instances:
                 assert serialize_hypergraph(inst) == serialize_hypergraph_oracle(inst)
 
+    def test_writer_memory_is_bounded_by_the_output(self):
+        """Ids up to 10^6 in three short edges: a table of id names sized
+        by n or by the largest id would take tens of megabytes."""
+        h = Hypergraph(10**6, [(0,), (999_999,), (5, 77, 500_000)])
+        tracemalloc.start()
+        try:
+            text = serialize_hypergraph(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == serialize_hypergraph_oracle(h)
+        assert peak < 10**6
+
     @given(st.data())
     def test_round_trip_property(self, data):
         n = data.draw(st.integers(1, 6), label="n")
@@ -147,6 +160,10 @@ class TestParserAgainstOracle:
         ("4 2\r\n1 3\x0c\x0c1 0x3\n", "line 4: non-integer token in '1 0x3'"),
         ("4 2\x1c1 3\n 1\t03 \n", "line 3: duplicate edge (first seen on line 2)"),
         ("4 1\n3 -1 1 0\n", "line 2: vertex -1 out of range [0, 4)"),
+        # a rejected token on a last line without a newline, and on a header
+        # after blank lines: the line number comes from where the pass stopped
+        ("4 1\n1 x", "line 2: non-integer token in '1 x'"),
+        ("\n\n4 x\n1 0\n", "line 3: non-integer token in '4 x'"),
         ("12 1\n2 0 1_1\n", "line 2: non-integer token in '2 0 1_1'"),
         ("12 1\n2 0 \u0663\n", "line 2: non-integer token in '2 0 \u0663'"),
         # more digits than int() converts
@@ -258,6 +275,8 @@ class TestGraphParserAgainstOracle:
         ("4 1\n-1 -1\n", "line 2: self-loop at vertex -1"),
         ("4 1\n5 -1\n", "line 2: vertex 5 out of range [0, 4)"),
         ("-1 1\n0 x\n", "line 1: vertex count must be non-negative"),
+        ("4 1\n0 x", "line 2: non-integer token in '0 x'"),
+        ("\n\n4 x\n0 1\n", "line 3: non-integer token in '4 x'"),
         ("3 1\n0 \u0661\n", "line 2: non-integer token in '0 \u0661'"),
         ("3 1\n0 1_0\n", "line 2: non-integer token in '0 1_0'"),
         pytest.param("3 1\n0 " + "1" * 5000 + "\n",
@@ -540,6 +559,21 @@ class TestCli:
         assert code == 1
         assert json.loads(out) == {"error": "InfeasibleParams",
                                    "message": "delta must be finite and non-negative"}
+
+    def test_gen_lowerbound_edge_count_past_the_float_range(self, capsys):
+        code, out = self.run(capsys, "gen", "lowerbound", "1", str(10**400), "0.5")
+        assert code == 1
+        assert json.loads(out) == {"error": "TooLarge",
+                                   "message": "edge count exceeds the float range"}
+
+    def test_experiment_edge_count_past_the_float_range(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"kind": "lowerbound", "measure": "shape", "seeds": [1],
+                                        "n_vertices": 1, "edge_count": 10**400, "eps": 0.5}))
+        code, out = self.run(capsys, "experiment", str(cfg_file))
+        assert code == 1
+        assert json.loads(out) == {"error": "TooLarge",
+                                   "message": "edge count exceeds the float range"}
 
     def test_pmf_window_and_margin(self, capsys):
         code, out = self.run(capsys, "pmf", "2", "2", "--window", "2", "3", "--margin", "0")
