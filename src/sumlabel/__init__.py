@@ -16,8 +16,8 @@ from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
                          lower_bound_params, run_experiment)
 from .hypergraph import Graph, Hypergraph, Labeling, edge_sums, is_distinguishing
 from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, TwoStepResult,
-                         classify_edges, quadratic_random_labeling, step_one,
-                         step_one_successful, two_step_labeling)
+                         classify_edges, quadratic_random_labeling, step_one_successful,
+                         two_step_labeling)
 from .transforms import closed_neighborhood_hypergraph, dual, is_vertex_sum_distinguishing
 from .uniform_sums import (MergeChecks, Pmf, exact_collision_probability, iter_sum_pmfs,
                            merge_inequality_check, peak_probability_margin, sum_pmf)
@@ -36,6 +36,6 @@ __all__ = [
     "is_distinguishing", "is_vertex_sum_distinguishing", "iter_sum_pmfs", "leaf_stat",
     "lower_bound_instance", "lower_bound_params", "merge_inequality_check",
     "peak_probability_margin", "quadratic_random_labeling", "repair_labeler", "run_experiment",
-    "s_star_bounds", "step_one", "step_one_successful", "sum_pmf", "tree_labeler",
+    "s_star_bounds", "step_one_successful", "sum_pmf", "tree_labeler",
     "two_step_labeling",
 ]

@@ -256,10 +256,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     seeds) alone."""
     start = time.perf_counter()
     records = []
-    if config.kind == "complete":
-        tasks = [(config.seeds[0] if config.seeds else DEFAULT_SEED, n) for n in config.sizes]
-    else:
-        tasks = [(seed, None) for seed in config.seeds]
+    # size-major, so a one-seed batch keeps its record order
+    sizes = config.sizes if config.kind == "complete" else (None,)
+    tasks = [(seed, size) for size in sizes for seed in config.seeds]
     for seed, size in tasks:
         h, shape = _instance_for(config, seed, size)
         record = {"seed": seed, **shape, **_measure(config, h, seed)}

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, exp
@@ -102,12 +102,17 @@ class PairClassification:
         """P(e) of every edge: the sum of its popular labels under ``partial``."""
         return [sum(partial[v] for v in part) for part in self.popular_parts]
 
-    def pair_flags(self, i: int, j: int) -> tuple[bool, bool, bool]:
-        """(dangerous, special, newly_dangerous) of the edge pair (i, j)."""
-        dangerous = len(self.edges[i] ^ self.edges[j]) <= self.dangerous_cutoff
-        special = self.stray[i] == self.stray[j]
-        newly = not dangerous and _newly_dangerous(self.stray[i], self.stray[j], self.stray_limit)
-        return dangerous, special, newly
+    def pair_type(self, i: int, j: int, skew: int, stray_cap: int) -> str:
+        """One of the five types of the edge pair (i, j): (a) special,
+        (e) dangerous non-special, (b)/(c) newly dangerous with popular-side
+        ``skew`` above/at most ``stray_cap``, (d) remaining non-dangerous."""
+        if self.stray[i] == self.stray[j]:
+            return "a"
+        if len(self.edges[i] ^ self.edges[j]) <= self.dangerous_cutoff:
+            return "e"
+        if _newly_dangerous(self.stray[i], self.stray[j], self.stray_limit):
+            return "b" if abs(skew) > stray_cap else "c"
+        return "d"
 
 
 def _newly_dangerous(stray_i: frozenset[int], stray_j: frozenset[int], stray_limit: int) -> bool:
@@ -192,19 +197,6 @@ def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
     )
 
 
-def _type_of(dangerous: bool, special: bool, newly: bool, skew: int, stray_cap: int) -> str:
-    """One of the five pair types: (a) special, (b)/(c) newly dangerous with
-    popular-side skew above/at most ``stray_cap``, (d) remaining
-    non-dangerous, (e) dangerous non-special."""
-    if special:
-        return "a"
-    if newly:
-        return "b" if abs(skew) > stray_cap else "c"
-    if dangerous:
-        return "e"
-    return "d"
-
-
 @dataclass
 class QuadraticResult:
     labeling: Labeling
@@ -231,14 +223,6 @@ def quadratic_random_labeling(h: Hypergraph, seed: int = DEFAULT_SEED,
         if is_distinguishing(h, f):
             return QuadraticResult(f, attempt)
     raise BudgetExhausted(f"no distinguishing labeling in {budget} quadratic attempts")
-
-
-def step_one(h: Hypergraph, cls: PairClassification, cfg: TwoStepConfig,
-             rng: random.Random) -> dict[int, int]:
-    """Independently uniform values in [ceil(m**2/C)] for the popular vertices,
-    drawn in vertex order for reproducibility."""
-    cap = cfg.label_cap(h.edge_count)
-    return {v: rng.randint(1, cap) for v in sorted(cls.popular)}
 
 
 @dataclass
@@ -299,7 +283,7 @@ class TwoStepResult:
     step2_attempts: int
     popular_count: int
     free_count: int
-    collision_census: dict[str, int] = field(default_factory=dict)
+    collision_census: dict[str, int]
 
 
 def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoStepResult:
@@ -319,7 +303,8 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     m = h.edge_count
     n = h.vertex_count
     if m <= 1:
-        return TwoStepResult(Labeling.all_ones(n), cfg.label_cap(m), 0, 0, 0, n)
+        return TwoStepResult(Labeling.all_ones(n), cfg.label_cap(m), 0, 0, 0, n,
+                             {t: 0 for t in PAIR_TYPES})
 
     cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
     cap = cfg.label_cap(m)
@@ -333,7 +318,8 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     step2_attempts = 0
     while step1_attempts < cfg.step1_budget:
         step1_attempts += 1
-        partial = step_one(h, cls, cfg, rng)
+        # popular labels drawn in vertex order, so every seed replays
+        partial = {v: rng.randint(1, cap) for v in sorted(cls.popular)}
         diag = step_one_successful(h, cls, cfg, partial)
         if not diag.ok:
             continue
@@ -356,8 +342,7 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
                                      len(cls.popular), len(free), census)
             for g in colliding:
                 for x, y in combinations(g, 2):
-                    skew = popular_sums[x] - popular_sums[y]
-                    kind = _type_of(*cls.pair_flags(x, y), skew, stray_cap)
+                    kind = cls.pair_type(x, y, popular_sums[x] - popular_sums[y], stray_cap)
                     # the edges of a special pair share their free part, so
                     # their sums differ by the nonzero skew; a type (b) skew
                     # exceeds any gap the free labels can close

@@ -15,6 +15,7 @@ The ".hg" commands run with warnings turned into errors, so a warning
 escapes :func:`main` as well.
 """
 
+import dataclasses
 import json
 import tempfile
 import time
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumlabel import generators
 from sumlabel.cli import main
 from sumlabel.formats import parse_hypergraph, serialize_hypergraph
 
@@ -51,6 +53,14 @@ BASE_CONFIG = {"kind": "runiform", "measure": "shape", "seeds": [1, 2], "n_verti
 INT_LISTS = ("seeds", "sizes")
 INTS = ("n_vertices", "uniformity", "edge_count", "node_budget")
 REALS = ("edge_probability", "eps", "delta", "label_divisor")
+
+
+def test_field_lists_name_every_config_field():
+    # a field left out of these lists would go unchecked and unfuzzed
+    fields = sorted(f.name for f in dataclasses.fields(generators.ExperimentConfig))
+    assert sorted([*INT_LISTS, *INTS, *REALS, "kind", "measure"]) == fields
+    assert sorted([*INT_LISTS, *generators._INT_FIELDS, *generators._REAL_FIELDS,
+                   "kind", "measure"]) == fields
 
 
 def right_type(field: str, value) -> bool:

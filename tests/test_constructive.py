@@ -175,6 +175,9 @@ class TestTreeLabeler:
             tree_labeler(Graph(4, [(0, 1), (2, 3), (1, 2), (0, 2)]))
         with pytest.raises(ShapeError):
             tree_labeler(Graph(1, []))
+        # n - 1 edges, but vertex 3 is cut off
+        with pytest.raises(ShapeError, match="graph is not connected"):
+            tree_labeler(Graph(4, [(0, 1), (1, 2), (0, 2)]))
 
     def test_random_trees_within_bound(self):
         rng = Random(109)

@@ -493,6 +493,28 @@ class TestCli:
         assert payload["max_label"] <= payload["label_cap"]
         assert payload["seed"] == 7
 
+    @pytest.mark.parametrize("text,labels", [("4 1\n4 0 1 2 3\n", "[1, 1, 1, 1]"),
+                                             ("3 0\n", "[1, 1, 1]")], ids=["one-edge", "edgeless"])
+    def test_label_two_step_trivial_input_prints_full_census(self, capsys, tmp_path, text,
+                                                             labels):
+        path = tmp_path / "trivial.hg"
+        path.write_text(text)
+        code, out = self.run(capsys, "label", "two-step", str(path))
+        assert code == 0
+        assert out == ('{"collision_census": {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}, '
+                       f'"label_cap": 1, "labels": {labels}, "max_label": 1, "seed": 857536, '
+                       '"step1_attempts": 0, "step2_attempts": 0, "verified": true}\n')
+
+    def test_label_quadratic_budget_exhaustion_exit_one(self, capsys, tmp_path):
+        # three singletons need three distinct labels in [9]; seed 2's first draw ties
+        path = tmp_path / "singletons.hg"
+        path.write_text("3 3\n1 0\n1 1\n1 2\n")
+        code, out = self.run(capsys, "label", "quadratic", str(path), "--budget", "1",
+                             "--seed", "2")
+        assert code == 1
+        assert json.loads(out) == {"error": "BudgetExhausted", "detail": {},
+                                   "message": "no distinguishing labeling in 1 quadratic attempts"}
+
     def test_label_quadratic_default_seed_echoed(self, capsys, instances):
         code, out = self.run(capsys, "label", "quadratic", str(instances / "rand.hg"))
         payload = json.loads(out)
@@ -821,6 +843,50 @@ class TestCli:
         assert "elapsed" not in payload
         _, again = self.run(capsys, "experiment", str(cfg_file))
         assert out == again
+
+    def test_experiment_timing_adds_elapsed(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"kind": "complete", "measure": "exact_s", "sizes": [2]}))
+        _, plain = self.run(capsys, "experiment", str(cfg_file))
+        code, out = self.run(capsys, "experiment", "--timing", str(cfg_file))
+        payload = json.loads(out)
+        assert code == 0 and payload["elapsed"] >= 0
+        del payload["elapsed"]
+        assert payload == json.loads(plain)
+
+    def test_experiment_complete_runs_every_seed(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg = {"kind": "complete", "measure": "quadratic", "sizes": [3], "seeds": [1, 2, 3]}
+        cfg_file.write_text(json.dumps(cfg))
+        code, out = self.run(capsys, "experiment", str(cfg_file))
+        payload = json.loads(out)
+        assert code == 0 and payload["summary"] == {"runs": 3}
+        assert [r["seed"] for r in payload["records"]] == [1, 2, 3]
+        cfg_file.write_text(json.dumps({**cfg, "seeds": []}))
+        code, out = self.run(capsys, "experiment", str(cfg_file))
+        payload = json.loads(out)
+        assert code == 0 and payload["config"]["seeds"] == [] and payload["records"] == []
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"bogus": 1}, "bad experiment config: .*unexpected keyword argument 'bogus'"),
+        ({"measure": "bogus"}, "measure must be one of .*")], ids=["unknown-key", "measure"])
+    def test_experiment_rejects_unknown_key_and_measure(self, capsys, tmp_path, extra, message):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"kind": "complete", "measure": "exact_s", "sizes": [2],
+                                        **extra}))
+        code = main(["experiment", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(f"error: {message}\n", captured.err)
+
+    def test_experiment_complete_size_past_guard_exit_one(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"kind": "complete", "measure": "exact_s",
+                                        "sizes": [17]}))
+        code, out = self.run(capsys, "experiment", str(cfg_file))
+        assert code == 1
+        assert json.loads(out) == {"error": "TooLarge", "message":
+                                   "complete hypergraph on 17 vertices has 2**17-1 edges"}
 
     def test_parse_error_exit_two(self, capsys, instances, tmp_path):
         bad = tmp_path / "bad.hg"

@@ -7,7 +7,10 @@ from math import comb, factorial, log, sqrt
 import pytest
 
 from sumlabel import (ExperimentConfig, InfeasibleParams, ParamsOutOfRange, TooLarge,
-                      gen_runiform, lower_bound_instance, lower_bound_params, run_experiment)
+                      gen_runiform, lower_bound_instance, lower_bound_params,
+                      quadratic_random_labeling, run_experiment)
+
+from helpers import complete_hypergraph
 
 
 class TestLowerBoundParams:
@@ -133,6 +136,20 @@ class TestExperiments:
         assert a.to_mapping() == b.to_mapping()
         assert all(r["s"] is not None for r in a.records)
         assert a.summary["min_s"] <= a.summary["median_s"] <= a.summary["max_s"]
+
+    def test_complete_runs_every_seed_for_every_size(self):
+        cfg = ExperimentConfig(kind="complete", measure="quadratic", sizes=(2, 3),
+                               seeds=(1, 2, 3))
+        report = run_experiment(cfg)
+        assert [(r["n"], r["seed"]) for r in report.records] == [
+            (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+        for r in report.records:
+            res = quadratic_random_labeling(complete_hypergraph(r["n"]), r["seed"])
+            assert (r["attempts"], r["max_label"]) == (res.attempts, res.labeling.max_label)
+        # no seeds, no records, as for the other kinds
+        empty = run_experiment(ExperimentConfig(kind="complete", measure="quadratic",
+                                                sizes=(3,), seeds=()))
+        assert empty.records == () and empty.summary == {"runs": 0}
 
     def test_two_step_measure(self):
         cfg = ExperimentConfig(kind="runiform", measure="two_step", seeds=(1, 2),

@@ -12,7 +12,7 @@ import pytest
 
 from sumlabel import (BudgetExhausted, Hypergraph, TwoStepConfig, classify_edges,
                       exact_collision_probability, is_distinguishing,
-                      quadratic_random_labeling, randomized, step_one, step_one_successful,
+                      quadratic_random_labeling, randomized, step_one_successful,
                       two_step_labeling)
 from sumlabel.randomized import PAIR_TYPES
 
@@ -33,23 +33,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             TwoStepConfig(dangerous_cutoff=10, stray_limit=16)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("label_divisor", 0, "label_divisor must be positive"),
+        ("label_divisor", -1.0, "label_divisor must be positive"),
+        ("step1_budget", 0, "budgets must be positive"),
+        ("step2_budget", -2, "budgets must be positive")])
+    def test_non_positive_divisor_and_budgets_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TwoStepConfig(**{field: value})
+
     def test_label_cap_is_exact_ceiling(self):
         cfg = TwoStepConfig(label_divisor=3.0)
         assert cfg.label_cap(40) == ceil(Fraction(1600, 3)) == 534
         assert TwoStepConfig(label_divisor=4.0).label_cap(10) == 25
 
 
-def flag_class(flags: tuple[bool, bool, bool]) -> str:
-    """The pair_classes_oracle class of a (dangerous, special, newly) flag
-    triple: special wins over dangerous, and a newly dangerous pair is
-    neither dangerous nor special."""
-    dangerous, special, newly = flags
-    if newly:
-        assert not dangerous and not special
-        return "newly"
-    if special:
-        return "special"
-    return "dangerous" if dangerous else "other"
+def draw_popular(cls, cap: int, rng: Random) -> dict[int, int]:
+    """One step-one draw as the two-step labeler makes it: a uniform label
+    in [cap] for each popular vertex, in vertex order."""
+    return {v: rng.randint(1, cap) for v in sorted(cls.popular)}
 
 
 class TestClassifyEdges:
@@ -58,7 +60,7 @@ class TestClassifyEdges:
         cls = classify_edges(h, dangerous_cutoff=3, stray_limit=2)
         # threshold 4/27 < 1, so one dangerous pair makes both vertices popular
         assert cls.popular == {0, 1}
-        assert cls.pair_flags(0, 1) == (True, True, False)
+        assert cls.pair_type(0, 1, 0, 0) == census_type_oracle("special", 0, 0)
         assert cls.special_groups == ((0, 1),) and cls.newly_dangerous == ()
         assert pair_classes_oracle(h, 3, 2) == ({0, 1}, {(0, 1): "special"})
 
@@ -68,7 +70,7 @@ class TestClassifyEdges:
                                      frozenset(range(k + 1, 2 * (k + 1)))])
         cls = classify_edges(h, dangerous_cutoff=k, stray_limit=2)
         assert cls.popular == frozenset()
-        assert cls.pair_flags(0, 1) == (False, False, False)
+        assert cls.pair_type(0, 1, 0, 0) == census_type_oracle("other", 0, 0)
         assert cls.special_groups == () and cls.newly_dangerous == ()
         assert pair_classes_oracle(h, k, 2) == (set(), {(0, 1): "other"})
 
@@ -93,19 +95,19 @@ class TestClassifyEdges:
         h2 = Hypergraph(6, [h.edges[i] for i in perm])
 
         def by_edges(g, cls):
-            flags = {frozenset((g.edges[i], g.edges[j])): cls.pair_flags(i, j)
+            types = {frozenset((g.edges[i], g.edges[j])): cls.pair_type(i, j, 0, 0)
                      for i, j in combinations(range(g.edge_count), 2)}
             groups = {frozenset(g.edges[i] for i in group) for group in cls.special_groups}
             newly = {frozenset((g.edges[i], g.edges[j])) for i, j in cls.newly_dangerous}
-            return cls.popular, flags, groups, newly
+            return cls.popular, types, groups, newly
 
         a = by_edges(h, classify_edges(h, 4, 2))
         b = by_edges(h2, classify_edges(h2, 4, 2))
         assert a == b
         popular, classes = pair_classes_oracle(h, 4, 2)
         assert a[0] == popular
-        assert {key: flag_class(flags) for key, flags in a[1].items()} == {
-            frozenset((h.edges[i], h.edges[j])): kind for (i, j), kind in classes.items()}
+        assert a[1] == {frozenset((h.edges[i], h.edges[j])): census_type_oracle(kind, 0, 0)
+                        for (i, j), kind in classes.items()}
 
     def test_every_pair_has_exactly_one_type(self):
         rng = Random(67)
@@ -115,7 +117,7 @@ class TestClassifyEdges:
             popular, classes = pair_classes_oracle(h, 5, 3)
             assert cls.popular == popular
             for (i, j), kind in classes.items():
-                assert flag_class(cls.pair_flags(i, j)) == kind
+                assert cls.pair_type(i, j, 0, 0) == census_type_oracle(kind, 0, 0)
             assert {pair for group in cls.special_groups for pair in combinations(group, 2)} == {
                 key for key, kind in classes.items() if kind == "special"}
             assert len(set(cls.newly_dangerous)) == len(cls.newly_dangerous)
@@ -166,7 +168,6 @@ class TestStepOne:
         cfg = TwoStepConfig(label_divisor=2.0, dangerous_cutoff=5, stray_limit=3)
         cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         assert cls.popular == frozenset()
-        assert step_one(h, cls, cfg, Random(1)) == {}
         # no special and no newly dangerous pairs: vacuously successful
         diag = step_one_successful(h, cls, cfg, {})
         assert diag.ok and diag.near_tie_count == 0 and not diag.special_violations
@@ -174,14 +175,22 @@ class TestStepOne:
     def test_reproducible_and_in_range(self):
         rng = Random(79)
         h = mixed_instance(rng, 8, 8, max_size=5)
-        cfg = TwoStepConfig(label_divisor=4.0)
+        cfg = TwoStepConfig(label_divisor=4.0, seed=3)
         cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
-        a = step_one(h, cls, cfg, Random(3))
-        b = step_one(h, cls, cfg, Random(3))
-        assert a == b
         cap = cfg.label_cap(h.edge_count)
+        a = draw_popular(cls, cap, Random(3))
+        assert a == draw_popular(cls, cap, Random(3))
         assert all(1 <= v <= cap for v in a.values())
         assert set(a) == set(cls.popular)
+        # the labeler draws the same way: its popular labels are the first
+        # draw from its seed that passes the step-one check
+        rng, attempts = Random(cfg.seed), 1
+        partial = draw_popular(cls, cap, rng)
+        while not step_one_successful(h, cls, cfg, partial).ok:
+            partial, attempts = draw_popular(cls, cap, rng), attempts + 1
+        res = two_step_labeling(h, cfg)
+        assert attempts > 1 and res.step1_attempts == attempts
+        assert {v: res.labeling.values[v] for v in cls.popular} == partial
 
     def test_special_pair_tie_fails(self):
         h = Hypergraph(2, [{0}, {1}])
@@ -208,7 +217,8 @@ class TestStepOne:
         h = random_hypergraph(Random(83), 10, 10, max_size=6)
         cfg = TwoStepConfig(label_divisor=4.0)
         cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
-        diag = step_one_successful(h, cls, cfg, step_one(h, cls, cfg, Random(2)))
+        partial = draw_popular(cls, cfg.label_cap(h.edge_count), Random(2))
+        diag = step_one_successful(h, cls, cfg, partial)
         assert diag.near_tie_allowance == pytest.approx(100 * exp(-16))
         # the allowance is below one, so any near tie at all must fail the check
         assert diag.near_tie_count == 0 or not diag.ok
@@ -227,6 +237,11 @@ class TestTwoStep:
     def test_trivial_instances(self):
         res = two_step_labeling(Hypergraph(4, [{0, 1, 2, 3}]))
         assert res.labeling.values == (1, 1, 1, 1)
+        # the census names all five types on every path, zero draws included
+        for h in (Hypergraph(4, [{0, 1, 2, 3}]), Hypergraph(3, [])):
+            res = two_step_labeling(h)
+            assert (res.step1_attempts, res.step2_attempts) == (0, 0)
+            assert res.collision_census == {t: 0 for t in PAIR_TYPES}
 
     def test_deterministic_including_stats(self):
         rng = Random(97)
@@ -322,10 +337,12 @@ class TestAgainstPairOracle:
                 popular_sums = cls.popular_sums(partial)
                 assert diag.popular_sums == popular_sums
                 for (i, j), kind in classes.items():
-                    assert popular_sums[i] - popular_sums[j] == skews[(i, j)]
-                    assert flag_class(cls.pair_flags(i, j)) == kind
+                    skew = skews[(i, j)]
+                    assert popular_sums[i] - popular_sums[j] == skew
                     # a cap of 1 separates types b and c at these label sizes
-                    types[census_type_oracle(kind, skews[(i, j)], stray_cap=1)] += 1
+                    expected = census_type_oracle(kind, skew, stray_cap=1)
+                    assert cls.pair_type(i, j, skew, 1) == expected
+                    types[expected] += 1
         assert set(kinds) == {"special", "dangerous", "newly", "other"}
         assert set(types) == set(PAIR_TYPES)
 

@@ -68,6 +68,16 @@ class TestSumPmf:
         with pytest.raises(TooLarge):
             sum_pmf(10**6, 10**4)
 
+    @pytest.mark.parametrize("summands,n", [(0, 3), (2, 0), (-1, -1)])
+    def test_non_positive_shape_rejected(self, summands, n):
+        message = "summands and n_values must be positive"
+        with pytest.raises(ValueError, match=message):
+            sum_pmf(summands, n)
+        with pytest.raises(ValueError, match=message):
+            next(iter_sum_pmfs(n, summands))
+        with pytest.raises(ValueError, match=message):
+            Pmf(summands, n, (1,))
+
     def test_family_iterator_matches_direct(self):
         for n in (2, 6):
             for pmf in iter_sum_pmfs(n, 8):
@@ -311,6 +321,11 @@ class TestCollisionProbability:
     def test_equal_sets_rejected(self):
         with pytest.raises(ValueError):
             exact_collision_probability({0, 1}, {1, 0}, 5)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_non_positive_value_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_values must be positive"):
+            exact_collision_probability({0}, {1}, n)
 
     def test_guard(self):
         # 8 uniforms on [10**5] have a support past SUPPORT_GUARD
