@@ -5,16 +5,19 @@ analogue of the binomial random graph).  ``lower_bound_instance``
 assembles hard-to-distinguish instances at a requested (n, m) shape:
 it picks the uniformity from the hardness exponent, draws exactly m
 r-uniform edges on a smaller core vertex set and pads with isolated
-vertices.
+vertices.  ``gen_runiform`` walks all binom(N, r) r-sets, so it refuses
+more than ``GEN_GUARD`` of them; ``lower_bound_instance`` unranks only
+the m sampled ranks, so it refuses more than ``GEN_GUARD`` edges.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb, exp, factorial, floor, inf, log, sqrt
 from random import Random
 from sys import float_info
@@ -60,19 +63,15 @@ def lower_bound_params(uniformity: int, vertex_count: int) -> LowerBoundParams:
     return LowerBoundParams(r, n, q, p, budget, p * comb(n, r))
 
 
-def _guarded_combinations(n: int, r: int) -> None:
-    if r < 1 or r > n:
-        raise ValueError(f"uniformity {r} out of range for {n} vertices")
-    if comb(n, r) > GEN_GUARD:
-        raise TooLarge(f"binom({n},{r}) exceeds the enumeration guard")
-
-
 def gen_runiform(vertex_count: int, uniformity: int, p: float, seed: int = DEFAULT_SEED) -> Hypergraph:
     """Each of the binom(N, r) possible r-edges independently with
     probability p, deterministically per seed."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    _guarded_combinations(vertex_count, uniformity)
+    if uniformity < 1 or uniformity > vertex_count:
+        raise ValueError(f"uniformity {uniformity} out of range for {vertex_count} vertices")
+    if comb(vertex_count, uniformity) > GEN_GUARD:
+        raise TooLarge(f"binom({vertex_count},{uniformity}) exceeds the enumeration guard")
     rng = Random(seed)
     edges = [c for c in combinations(range(vertex_count), uniformity) if rng.random() < p]
     return Hypergraph(vertex_count, edges)
@@ -95,9 +94,11 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
 
     The uniformity is the smallest r >= 2 with eps > 2/(r+1); the core
     has N = floor(m**(2/(r+1+2*delta))) vertices; the edges are a uniform
-    m-subset of the core's r-sets, one seeded draw, in lexicographic
-    order; the remaining n - N vertices stay isolated.  An m too large
-    for a float raises :class:`TooLarge`.
+    m-subset of the core's r-sets, one seeded draw of their ranks, each
+    rank unranked straight into its r-set, in lexicographic order; the
+    remaining n - N vertices stay isolated.  Time and memory grow with m,
+    not with binom(N, r); an m above ``GEN_GUARD`` or too large for a
+    float raises :class:`TooLarge`.
     """
     if not 0.0 < eps < 1.0:
         raise InfeasibleParams("eps must lie strictly between 0 and 1")
@@ -118,11 +119,19 @@ def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,
         raise InfeasibleParams(f"core size {core} exceeds the {n} available vertices")
     if core < r or comb(core, r) < m:
         raise InfeasibleParams(f"core of {core} vertices cannot carry {m} {r}-uniform edges")
-    _guarded_combinations(core, r)
-    marks = bytearray(comb(core, r))
-    for i in Random(seed).sample(range(len(marks)), m):
-        marks[i] = 1
-    h = Hypergraph(n, list(compress(combinations(range(core), r), marks)))
+    if m > GEN_GUARD:
+        raise TooLarge(f"{m} edges exceed the generation guard of {GEN_GUARD}")
+    # lex rank i of an r-set is top - (colex rank of its mirror v -> core-1-v);
+    # unrank the colex ranks one element at a time, largest first
+    top = comb(core, r) - 1
+    ranks = [top - i for i in sorted(Random(seed).sample(range(top + 1), m))]
+    columns = []
+    for k in range(r, 0, -1):
+        table = [comb(c, k) for c in range(core)]
+        picks = [bisect_right(table, j) - 1 for j in ranks]
+        ranks = [j - table[c] for j, c in zip(ranks, picks)]
+        columns.append([core - 1 - c for c in picks])
+    h = Hypergraph(n, list(zip(*columns)))
     return GeneratedInstance(h, r, core, n - core)
 
 

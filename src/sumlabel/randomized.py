@@ -222,7 +222,8 @@ def quadratic_random_labeling(h: Hypergraph, seed: int = DEFAULT_SEED,
         f = Labeling(rng.randint(1, cap) for _ in range(h.vertex_count))
         if is_distinguishing(h, f):
             return QuadraticResult(f, attempt)
-    raise BudgetExhausted(f"no distinguishing labeling in {budget} quadratic attempts")
+    raise BudgetExhausted(f"no distinguishing labeling in {budget} quadratic attempts",
+                          detail={"attempts": budget})
 
 
 @dataclass

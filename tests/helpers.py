@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import ceil, comb, exp
 from operator import le
 from random import Random
@@ -69,6 +69,16 @@ def random_hypergraph(rng: Random, n: int, m: int, max_size: int | None = None) 
         k = rng.randint(1, limit)
         edges.add(frozenset(rng.sample(range(n), k)))
     return Hypergraph(n, sorted(edges, key=lambda e: (len(e), sorted(e))))
+
+
+def lower_bound_edges_oracle(core: int, r: int, m: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The r-sets of [0, core) at the m lexicographic ranks of one seeded
+    ``Random(seed).sample``, found by marking all binom(core, r) ranks and
+    walking every r-set in lexicographic order."""
+    marks = bytearray(comb(core, r))
+    for i in Random(seed).sample(range(len(marks)), m):
+        marks[i] = 1
+    return tuple(compress(combinations(range(core), r), marks))
 
 
 def graph_as_hypergraph(g: Graph) -> Hypergraph:

@@ -124,8 +124,10 @@ def test_experiment_field_of_wrong_type(data):
     assert code == 2 and err.startswith(f"error: {field} must be ")
 
 
-# counts past 2**1024 do not fit a float; small ones reach exit 0
-SHAPE_COUNTS = st.integers(1, 60) | st.integers(2**1000, 2**1100)
+# counts past 2**1024 do not fit a float; small ones reach exit 0; those
+# past the generation guard exit 1 before any edge is built
+SHAPE_COUNTS = (st.integers(1, 60) | st.integers(generators.GEN_GUARD + 1, 10**8)
+                | st.integers(2**1000, 2**1100))
 
 
 @settings(max_examples=100, deadline=None)

@@ -512,7 +512,7 @@ class TestCli:
         code, out = self.run(capsys, "label", "quadratic", str(path), "--budget", "1",
                              "--seed", "2")
         assert code == 1
-        assert json.loads(out) == {"error": "BudgetExhausted", "detail": {},
+        assert json.loads(out) == {"error": "BudgetExhausted", "detail": {"attempts": 1},
                                    "message": "no distinguishing labeling in 1 quadratic attempts"}
 
     def test_label_quadratic_default_seed_echoed(self, capsys, instances):
@@ -587,6 +587,12 @@ class TestCli:
         assert code == 1
         assert json.loads(out) == {"error": "TooLarge",
                                    "message": "edge count exceeds the float range"}
+
+    def test_gen_lowerbound_edge_count_past_the_guard(self, capsys):
+        code, out = self.run(capsys, "gen", "lowerbound", "20000", "5000001", "0.9")
+        assert code == 1
+        assert json.loads(out) == {"error": "TooLarge", "message":
+                                   "5000001 edges exceed the generation guard of 5000000"}
 
     def test_experiment_edge_count_past_the_float_range(self, capsys, tmp_path):
         cfg_file = tmp_path / "exp.json"

@@ -2,15 +2,41 @@
 
 from collections import Counter
 from itertools import combinations
-from math import comb, factorial, log, sqrt
+from math import comb, factorial, isqrt, log, sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumlabel import (ExperimentConfig, InfeasibleParams, ParamsOutOfRange, TooLarge,
                       gen_runiform, lower_bound_instance, lower_bound_params,
                       quadratic_random_labeling, run_experiment)
+from sumlabel.generators import GEN_GUARD
 
-from helpers import complete_hypergraph
+from helpers import complete_hypergraph, lower_bound_edges_oracle
+
+# an eps that selects each uniformity r (the smallest r with eps > 2/(r+1))
+EPS_FOR = {2: 0.9, 3: 0.6, 4: 0.45, 5: 0.35, 6: 0.3}
+# (r, N) with binom(N, r) <= 10**4 at which every m from smallest_m up to
+# binom(N, r) can be asked for; r = 6 has none, since binom(N, 6) passes
+# N**3.5 only above 10**4
+SMALL_CORES = [(r, n) for r in range(2, 6) for n in range(r, 150)
+               if isqrt(n ** (r + 1)) < comb(n, r) <= 10**4]
+
+
+def smallest_m(core: int, r: int) -> int:
+    """The first m past core**((r+1)/2), the smallest m whose core
+    floor(m**(2/(r+1))) is ``core`` clear of float rounding."""
+    return isqrt(core ** (r + 1)) + 1
+
+
+def core_instance(core: int, r: int, m: int, seed: int):
+    """lower_bound_instance at uniformity r with exactly ``core`` core
+    vertices and no padding: delta puts m**(2/(r+1+2*delta)) at core + 1/2,
+    or is 0 when m**(2/(r+1)) is below that already."""
+    delta = max(0.0, (2 * log(m) / log(core + 0.5) - r - 1) / 2)
+    gen = lower_bound_instance(core, m, EPS_FOR[r], seed, delta)
+    assert (gen.uniformity, gen.core_vertex_count) == (r, core)
+    return gen
 
 
 class TestLowerBoundParams:
@@ -101,6 +127,36 @@ class TestLowerBoundInstance:
             left_out.update(set(pairs) - set(gen.hypergraph.edges))
         assert sum(left_out.values()) == 2_100
         assert sum((left_out[e] - 100) ** 2 / 100 for e in pairs) < 45.3
+
+    @pytest.mark.parametrize("r,core", [(2, 20), (3, 12), (4, 14), (5, 16), (6, 21)])
+    def test_matches_enumeration_oracle(self, r, core):
+        # m = 1 cannot be asked for (m >= n >= N >= r), so the sparsest draw
+        # is the smallest m that gives this core
+        t = comb(core, r)
+        for m in (smallest_m(core, r), t - 1, t):
+            for seed in (1, 2, 3):
+                edges = core_instance(core, r, m, seed).hypergraph.edges
+                assert edges == lower_bound_edges_oracle(core, r, m, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_enumeration_oracle_on_drawn_shapes(self, data):
+        r, core = data.draw(st.sampled_from(SMALL_CORES), label="r, core")
+        m = data.draw(st.integers(smallest_m(core, r), comb(core, r)), label="m")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        edges = core_instance(core, r, m, seed).hypergraph.edges
+        assert edges == lower_bound_edges_oracle(core, r, m, seed)
+
+    def test_binom_past_the_guard_generates(self):
+        # binom(334, 3) = 6,154,284 r-sets, more than the guard, yet only
+        # the 200,000 drawn ones are built
+        gen = lower_bound_instance(400, 200_000, 0.6, seed=1)
+        assert (gen.uniformity, gen.core_vertex_count) == (3, 334)
+        assert comb(334, 3) > GEN_GUARD
+        edges = gen.hypergraph.edges
+        assert len(edges) == 200_000
+        assert all(len(e) == 3 and 0 <= e[0] < e[1] < e[2] < 334 for e in edges)
+        assert all(a < b for a, b in zip(edges, edges[1:]))
 
     def test_eps_guard(self):
         with pytest.raises(InfeasibleParams):
