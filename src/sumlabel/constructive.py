@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ShapeError
-from .hypergraph import Graph, Labeling
+from .hypergraph import Graph, Labeling, _ties
 from .transforms import closed_neighborhood_hypergraph, is_vertex_sum_distinguishing
 
 
@@ -133,10 +133,7 @@ def repair_labeler(g: Graph) -> RepairResult:
     for _ in range(max_iterations):
         # a bad pair ties on its closed sum, so look for them only inside
         # the groups of tied vertices
-        tied: dict[int, list[int]] = {}
-        for v, s in enumerate(sums):
-            tied.setdefault(s, []).append(v)
-        bad = sorted((u, v) for vs in tied.values() for u, v in combinations(vs, 2)
+        bad = sorted((u, v) for vs in _ties(sums) for u, v in combinations(vs, 2)
                      if closed[u] != closed[v])
         if prev_bad is not None:
             assert len(bad) < prev_bad, "bad-pair count failed to decrease"

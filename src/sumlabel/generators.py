@@ -149,7 +149,8 @@ class ExperimentConfig:
     and real fields ``int`` or ``float`` within the finite float range,
     never ``bool``; ``node_budget`` may be None for an unbounded search.
     A wrong type or a real outside that range is a ValueError naming the
-    field.
+    field.  ``seeds`` and ``sizes`` may be given as lists and are stored
+    as tuples.
     """
 
     kind: str
@@ -169,8 +170,9 @@ class ExperimentConfig:
         # exact type tests: bool, JSON's true/false, is a subclass of int
         for name in ("seeds", "sizes"):
             values = getattr(self, name)
-            if not isinstance(values, tuple) or not all(type(v) is int for v in values):
+            if not isinstance(values, (list, tuple)) or not all(type(v) is int for v in values):
                 raise ValueError(f"{name} must be a list of integers")
+            object.__setattr__(self, name, tuple(values))
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not (type(value) is int or (name == "node_budget" and value is None)):
@@ -192,14 +194,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        # dict() would also take a list of pairs, which is no config file
+        # a JSON array or scalar is no config file
         if not isinstance(data, Mapping):
             raise ValueError("experiment config must be a JSON object")
-        kwargs = dict(data)
-        for key in ("seeds", "sizes"):
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_mapping(self) -> dict[str, Any]:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}

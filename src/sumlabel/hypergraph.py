@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, lt
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .errors import DimensionError, ValidationError
 
@@ -164,6 +164,15 @@ class Labeling:
 def _check_length(n: int, f: Labeling) -> None:
     if len(f) != n:
         raise DimensionError(f"labeling has {len(f)} values, instance has {n} vertices")
+
+
+def _ties(keys: Iterable[Hashable]) -> list[list[int]]:
+    """Positions of ``keys`` that share a key: one ascending list per key
+    held at two or more positions, in order of first position."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [g for g in groups.values() if len(g) > 1]
 
 
 def edge_sums(h: Hypergraph, f: Labeling) -> tuple[int, ...]:

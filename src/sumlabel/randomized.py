@@ -40,7 +40,7 @@ from itertools import combinations
 from math import ceil, exp
 
 from .errors import BudgetExhausted
-from .hypergraph import Hypergraph, Labeling, is_distinguishing
+from .hypergraph import Hypergraph, Labeling, _ties, is_distinguishing
 
 DEFAULT_SEED = 0xD15C0
 
@@ -82,11 +82,9 @@ class PairClassification:
     """Popular set and the per-edge quantities that classify every pair.
 
     Edge i splits into its popular vertices ``popular_parts[i]`` and its
-    stray part ``stray[i]``.  ``special_groups`` holds the edges that
-    share a stray part (groups of two or more, in edge order), so the
-    special pairs are exactly the pairs inside a group;
-    ``newly_dangerous`` lists the newly dangerous pairs as index pairs
-    (i, j) with i < j.
+    stray part ``stray[i]``; the special pairs are exactly the pairs of
+    edges with equal stray parts.  ``newly_dangerous`` lists the newly
+    dangerous pairs as index pairs (i, j) with i < j.
     """
 
     dangerous_cutoff: int
@@ -95,7 +93,6 @@ class PairClassification:
     edges: tuple[frozenset[int], ...]
     popular_parts: tuple[tuple[int, ...], ...]
     stray: tuple[frozenset[int], ...]
-    special_groups: tuple[tuple[int, ...], ...]
     newly_dangerous: tuple[tuple[int, int], ...]
 
     def popular_sums(self, partial: dict[int, int]) -> list[int]:
@@ -181,9 +178,6 @@ def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
     assert len(popular) <= dangerous_cutoff**4, "popularity bound violated"
 
     stray = tuple(e - popular for e in edges)
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, part in enumerate(stray):
-        groups.setdefault(part, []).append(i)
     # newly dangerous pairs are non-dangerous, so they are among the pairs
     # visited above
     newly = tuple((i, j) for i, j, _ in _non_dangerous_pairs(edges, dangerous_cutoff)
@@ -192,7 +186,6 @@ def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
         dangerous_cutoff, stray_limit, popular, edges,
         popular_parts=tuple(tuple(e & popular) for e in edges),
         stray=stray,
-        special_groups=tuple(tuple(g) for g in groups.values() if len(g) > 1),
         newly_dangerous=newly,
     )
 
@@ -248,20 +241,16 @@ def step_one_successful(h: Hypergraph, cls: PairClassification, cfg: TwoStepConf
 
     (1) every special pair has nonzero popular-side skew, and (2) at most
     m**2 * e**(-4C) newly dangerous pairs have |skew| <= stray_limit * N.
-    Since the skew of (e, e') is P(e) - P(e') and special pairs are the
-    pairs inside a stray group, (1) says the P values within each group
-    are distinct.
+    Since the skew of (e, e') is P(e) - P(e') and a pair is special when
+    its edges share their stray part, (1) says no two edges share both
+    their stray part and their P(e).
     """
     m = h.edge_count
     stray_cap = cfg.stray_limit * cfg.label_cap(m)
     popular_sums = cls.popular_sums(partial)
     violations: list[tuple[int, int]] = []
-    for group in cls.special_groups:
-        tied: dict[int, list[int]] = {}
-        for i in group:
-            tied.setdefault(popular_sums[i], []).append(i)
-        for same in tied.values():
-            violations.extend(combinations(same, 2))
+    for same in _ties(zip(cls.stray, popular_sums)):
+        violations.extend(combinations(same, 2))
     violations.sort()
     near_ties = sum(1 for i, j in cls.newly_dangerous
                     if abs(popular_sums[i] - popular_sums[j]) <= stray_cap)
@@ -331,11 +320,7 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
             step2_attempts += 1
             for v in free:
                 values[v] = rng.randint(1, cap)
-            sums = tuple(sum(values[v] for v in e) for e in edges)
-            groups: dict[int, list[int]] = {}
-            for idx, s in enumerate(sums):
-                groups.setdefault(s, []).append(idx)
-            colliding = [g for g in groups.values() if len(g) > 1]
+            colliding = _ties(sum(values[v] for v in e) for e in edges)
             if not colliding:
                 f = Labeling(values)
                 assert is_distinguishing(h, f) and f.max_label <= cap

@@ -8,7 +8,7 @@ labelings are checked.
 from __future__ import annotations
 
 from .errors import DualDegenerate, ValidationError
-from .hypergraph import Graph, Hypergraph, Labeling, _check_length, is_distinguishing
+from .hypergraph import Graph, Hypergraph, Labeling, _check_length, _ties, is_distinguishing
 
 
 def dual(h: Hypergraph) -> Hypergraph:
@@ -28,11 +28,8 @@ def dual(h: Hypergraph) -> Hypergraph:
         return Hypergraph(h.edge_count, [inc for inc in h.incidence if inc])
     except ValidationError:
         pass  # the only fault left is a duplicate edge
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v, inc in enumerate(h.incidence):
-        if inc:
-            groups.setdefault(inc, []).append(v)
-    raise DualDegenerate([tuple(vs) for vs in groups.values() if len(vs) > 1])
+    # uncovered vertices share the empty incidence set, but are no dual edge
+    raise DualDegenerate([tuple(vs) for vs in _ties(h.incidence) if h.incidence[vs[0]]])
 
 
 def closed_neighborhood_hypergraph(g: Graph) -> Hypergraph:

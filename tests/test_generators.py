@@ -259,6 +259,10 @@ class TestExperiments:
             ExperimentConfig(kind="complete", measure="exact_s")
         cfg = ExperimentConfig(kind="complete", measure="exact_s", sizes=(3,))
         assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
+        listed = ExperimentConfig(kind="complete", measure="exact_s", sizes=[3])
+        assert listed == cfg and hash(listed) == hash(cfg) and listed.sizes == (3,)
+        with pytest.raises(ValueError, match="sizes must be a list of integers"):
+            ExperimentConfig(kind="complete", measure="exact_s", sizes=[True])
 
     def test_config_accepts_int_reals_and_unbounded_budget(self):
         cfg = ExperimentConfig.from_mapping({

@@ -54,6 +54,12 @@ def draw_popular(cls, cap: int, rng: Random) -> dict[int, int]:
     return {v: rng.randint(1, cap) for v in sorted(cls.popular)}
 
 
+def special_pairs(cls) -> set[tuple[int, int]]:
+    """The pairs (i, j), i < j, of edges with equal stray parts."""
+    return {(i, j) for i, j in combinations(range(len(cls.stray)), 2)
+            if cls.stray[i] == cls.stray[j]}
+
+
 class TestClassifyEdges:
     def test_two_singletons_are_special(self):
         h = Hypergraph(2, [{0}, {1}])
@@ -61,7 +67,7 @@ class TestClassifyEdges:
         # threshold 4/27 < 1, so one dangerous pair makes both vertices popular
         assert cls.popular == {0, 1}
         assert cls.pair_type(0, 1, 0, 0) == census_type_oracle("special", 0, 0)
-        assert cls.special_groups == ((0, 1),) and cls.newly_dangerous == ()
+        assert special_pairs(cls) == {(0, 1)} and cls.newly_dangerous == ()
         assert pair_classes_oracle(h, 3, 2) == ({0, 1}, {(0, 1): "special"})
 
     def test_disjoint_large_edges_not_dangerous(self):
@@ -71,7 +77,7 @@ class TestClassifyEdges:
         cls = classify_edges(h, dangerous_cutoff=k, stray_limit=2)
         assert cls.popular == frozenset()
         assert cls.pair_type(0, 1, 0, 0) == census_type_oracle("other", 0, 0)
-        assert cls.special_groups == () and cls.newly_dangerous == ()
+        assert special_pairs(cls) == set() and cls.newly_dangerous == ()
         assert pair_classes_oracle(h, k, 2) == (set(), {(0, 1): "other"})
 
     def test_cutoff_must_exceed_stray_limit(self):
@@ -97,7 +103,9 @@ class TestClassifyEdges:
         def by_edges(g, cls):
             types = {frozenset((g.edges[i], g.edges[j])): cls.pair_type(i, j, 0, 0)
                      for i, j in combinations(range(g.edge_count), 2)}
-            groups = {frozenset(g.edges[i] for i in group) for group in cls.special_groups}
+            strays = ({g.edges[i] for i, part in enumerate(cls.stray) if part == own}
+                      for own in cls.stray)
+            groups = {frozenset(c) for c in strays if len(c) > 1}
             newly = {frozenset((g.edges[i], g.edges[j])) for i, j in cls.newly_dangerous}
             return cls.popular, types, groups, newly
 
@@ -118,8 +126,8 @@ class TestClassifyEdges:
             assert cls.popular == popular
             for (i, j), kind in classes.items():
                 assert cls.pair_type(i, j, 0, 0) == census_type_oracle(kind, 0, 0)
-            assert {pair for group in cls.special_groups for pair in combinations(group, 2)} == {
-                key for key, kind in classes.items() if kind == "special"}
+            assert special_pairs(cls) == {key for key, kind in classes.items()
+                                          if kind == "special"}
             assert len(set(cls.newly_dangerous)) == len(cls.newly_dangerous)
             assert set(cls.newly_dangerous) == {key for key, kind in classes.items()
                                                 if kind == "newly"}

@@ -35,6 +35,13 @@ class TestDual:
         with pytest.raises(DualDegenerate) as err:
             dual(Hypergraph(2, [{0, 1}]))
         assert (0, 1) in err.value.groups
+        # the two uncovered vertices share an empty incidence set but are no group
+        with pytest.raises(DualDegenerate) as err:
+            dual(Hypergraph(4, [{0, 1}]))
+        assert err.value.groups == [(0, 1)]
+        with pytest.raises(DualDegenerate) as err:
+            dual(Hypergraph(6, [{0, 1}, {2, 3}, {2, 3, 4}]))
+        assert err.value.groups == [(0, 1), (2, 3)]
 
     def test_uncovered_vertex_skipped_without_warning(self):
         h = Hypergraph(3, [{0}, {0, 1}])
