@@ -21,10 +21,10 @@ of more digits than ``int`` converts.
 
 The parsers check only the format: header, number of edge lines,
 integer tokens, each line's token count, and a vertex repeated inside a
-hyperedge or a pair repeated in a graph file.  The semantic checks run
-once, in the constructor (:class:`Hypergraph`: vertex count, empty
-edge, vertex range, duplicate edge; :class:`Graph`: vertex count,
-self-loop, vertex range), and the parser turns the edge index of its
+hyperedge.  The semantic checks run once, in the constructor
+(:class:`Hypergraph`: vertex count, empty edge, vertex range, duplicate
+edge; :class:`Graph`: vertex count, self-loop, vertex range, duplicate
+edge), and the parser turns the edge index of its
 :class:`ValidationError` into a line number.  Of several faults, the one
 on the earliest line is reported.  The hypergraph parser hands each
 edge line's vertices to the constructor as a tuple; the constructor
@@ -153,24 +153,15 @@ def serialize_hypergraph(h: Hypergraph) -> str:
 def parse_graph(text: str) -> Graph:
     n, m, linenos, rows, bad = _read_rows(text)
 
-    # edge i sits on data line i + 1
-    int_edges = len(rows)
-    bad_size = next(compress(count(), map(ne, map(len, rows), repeat(2))), int_edges)
-    pairs = rows[:bad_size]
-    seen: dict[tuple[int, int], int] = {}
-    firsts = list(map(seen.setdefault, map(tuple, map(sorted, pairs)), count()))
-    repeated = next(compress(count(), map(ne, firsts, count())), bad_size)
-
+    # edge i sits on data line i + 1; the constructor's faults all sit on
+    # the lines before the first one that is not a pair
+    bad_size = next(compress(count(), map(ne, map(len, rows), repeat(2))), len(rows))
     try:
-        g = Graph(n, pairs if repeated == len(pairs) else pairs[:repeated])
+        g = Graph(n, rows[:bad_size])
     except ValidationError as exc:
         raise _at_line(exc, linenos) from exc
-    if repeated == m:
+    if bad_size == m:
         return g
-    lineno = linenos[repeated + 1]
-    if repeated < bad_size:
-        raise ValidationError(
-            f"duplicate edge (first seen on line {linenos[firsts[repeated] + 1]})", lineno)
-    if repeated < int_edges:
-        raise ParseError("graph edge line must be 'u v'", lineno)
+    if bad_size < len(rows):
+        raise ParseError("graph edge line must be 'u v'", linenos[bad_size + 1])
     raise bad

@@ -93,9 +93,10 @@ def _raise_first_fault(vertex_count: int, edges: tuple[tuple[int, ...], ...]) ->
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph; edges are unordered distinct pairs, and a
-    pair listed twice is kept once.  Like :class:`Hypergraph`, the one
-    checker of its vertex count, self-loops and vertex range."""
+    """A simple undirected graph; edges are unordered distinct pairs.  Like
+    :class:`Hypergraph`, the one checker of its vertex count, self-loops,
+    vertex range and duplicate edges: a pair listed twice, in either
+    order, raises :class:`ValidationError` naming both positions."""
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
@@ -103,7 +104,7 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
             raise ValidationError("vertex count must be non-negative")
-        normalized: set[tuple[int, int]] = set()
+        normalized: dict[tuple[int, int], int] = {}  # pair -> first position
         for pos, (u, v) in enumerate(edges):
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}", edge=pos)
@@ -112,7 +113,10 @@ class Graph:
                 raise ValidationError(f"edge ({u},{v}) out of range [0, {vertex_count})",
                                       reason=f"vertex {w} out of range [0, {vertex_count})",
                                       edge=pos)
-            normalized.add((min(u, v), max(u, v)))
+            first = normalized.setdefault((min(u, v), max(u, v)), pos)
+            if first != pos:
+                raise ValidationError(f"duplicate edge ({u},{v}) at position {pos}",
+                                      reason="duplicate edge", edge=pos, first=first)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", frozenset(normalized))
 

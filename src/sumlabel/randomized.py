@@ -16,9 +16,10 @@ A successful step one rules out ties of type (a) and (b) pairs for every
 step-two draw, so such a tie is an internal error; the collision census
 of a failed verification checks for it.
 
-The two-step labeler builds no per-pair objects.  With P(e) the sum of
-the popular labels in e and stray(e) = e minus the popular set, two
-identities turn every pair condition into per-edge quantities:
+The two-step labeler builds no per-pair objects.  Step one leaves the
+free slots of its label list 0, so the list's edge sums are P(e), the
+sum of the popular labels in e.  With stray(e) = e minus the popular
+set, two identities turn every pair condition into per-edge quantities:
 
 * the skew of (e, e') is P(e) - P(e'), since the popular labels of the
   intersection cancel;
@@ -81,23 +82,18 @@ class TwoStepConfig:
 class PairClassification:
     """Popular set and the per-edge quantities that classify every pair.
 
-    Edge i splits into its popular vertices ``popular_parts[i]`` and its
-    stray part ``stray[i]``; the special pairs are exactly the pairs of
-    edges with equal stray parts.  ``newly_dangerous`` lists the newly
-    dangerous pairs as index pairs (i, j) with i < j.
+    ``edges`` is the hypergraph's own edge tuple, and ``stray[i]`` the
+    non-popular vertices of edge i; the special pairs are exactly the
+    pairs of edges with equal stray parts.  ``newly_dangerous`` lists the
+    newly dangerous pairs as index pairs (i, j) with i < j.
     """
 
     dangerous_cutoff: int
     stray_limit: int
     popular: frozenset[int]
-    edges: tuple[frozenset[int], ...]
-    popular_parts: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, ...], ...]
     stray: tuple[frozenset[int], ...]
     newly_dangerous: tuple[tuple[int, int], ...]
-
-    def popular_sums(self, partial: dict[int, int]) -> list[int]:
-        """P(e) of every edge: the sum of its popular labels under ``partial``."""
-        return [sum(partial[v] for v in part) for part in self.popular_parts]
 
     def pair_type(self, i: int, j: int, skew: int, stray_cap: int) -> str:
         """One of the five types of the edge pair (i, j): (a) special,
@@ -105,7 +101,7 @@ class PairClassification:
         ``skew`` above/at most ``stray_cap``, (d) remaining non-dangerous."""
         if self.stray[i] == self.stray[j]:
             return "a"
-        if len(self.edges[i] ^ self.edges[j]) <= self.dangerous_cutoff:
+        if len(set(self.edges[i]).symmetric_difference(self.edges[j])) <= self.dangerous_cutoff:
             return "e"
         if _newly_dangerous(self.stray[i], self.stray[j], self.stray_limit):
             return "b" if abs(skew) > stray_cap else "c"
@@ -182,12 +178,7 @@ def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
     # visited above
     newly = tuple((i, j) for i, j, _ in _non_dangerous_pairs(edges, dangerous_cutoff)
                   if _newly_dangerous(stray[i], stray[j], stray_limit))
-    return PairClassification(
-        dangerous_cutoff, stray_limit, popular, edges,
-        popular_parts=tuple(tuple(e & popular) for e in edges),
-        stray=stray,
-        newly_dangerous=newly,
-    )
+    return PairClassification(dangerous_cutoff, stray_limit, popular, h.edges, stray, newly)
 
 
 @dataclass
@@ -221,11 +212,10 @@ def quadratic_random_labeling(h: Hypergraph, seed: int = DEFAULT_SEED,
 
 @dataclass
 class StepOneDiagnostics:
-    """The step-one check of one draw: P(e) of every edge, the tied
-    special pairs in lexicographic order, and the count of near ties
-    among newly dangerous pairs with its allowance m**2 * e**(-4C)."""
+    """The step-one check of one draw: the tied special pairs in
+    lexicographic order, and the count of near ties among newly dangerous
+    pairs with its allowance m**2 * e**(-4C)."""
 
-    popular_sums: list[int]
     special_violations: list[tuple[int, int]]
     near_tie_count: int
     near_tie_allowance: float
@@ -235,9 +225,9 @@ class StepOneDiagnostics:
         return not self.special_violations and self.near_tie_count <= self.near_tie_allowance
 
 
-def step_one_successful(h: Hypergraph, cls: PairClassification, cfg: TwoStepConfig,
-                        partial: dict[int, int]) -> StepOneDiagnostics:
-    """Check the two step-one success conditions.
+def step_one_successful(cls: PairClassification, cfg: TwoStepConfig,
+                        popular_sums: list[int]) -> StepOneDiagnostics:
+    """Check the two step-one success conditions on one draw's P(e) per edge.
 
     (1) every special pair has nonzero popular-side skew, and (2) at most
     m**2 * e**(-4C) newly dangerous pairs have |skew| <= stray_limit * N.
@@ -245,17 +235,15 @@ def step_one_successful(h: Hypergraph, cls: PairClassification, cfg: TwoStepConf
     its edges share their stray part, (1) says no two edges share both
     their stray part and their P(e).
     """
-    m = h.edge_count
+    m = len(popular_sums)
     stray_cap = cfg.stray_limit * cfg.label_cap(m)
-    popular_sums = cls.popular_sums(partial)
     violations: list[tuple[int, int]] = []
     for same in _ties(zip(cls.stray, popular_sums)):
         violations.extend(combinations(same, 2))
     violations.sort()
     near_ties = sum(1 for i, j in cls.newly_dangerous
                     if abs(popular_sums[i] - popular_sums[j]) <= stray_cap)
-    return StepOneDiagnostics(popular_sums, violations, near_ties,
-                              m * m * exp(-4.0 * cfg.label_divisor))
+    return StepOneDiagnostics(violations, near_ties, m * m * exp(-4.0 * cfg.label_divisor))
 
 
 @dataclass
@@ -286,7 +274,8 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     colliding pair of type (a) or (b) after a successful step one is an
     internal error and raises :class:`AssertionError` from that census.
     Raises :class:`BudgetExhausted` (census attached) if the budgets run
-    out.  Works on per-edge quantities only, in O(n + m) memory plus the
+    out.  Each draw is one label list, its free slots 0 until step two;
+    it works on per-edge quantities only, in O(n + m) memory plus the
     newly dangerous pairs.
     """
     cfg = cfg or TwoStepConfig()
@@ -300,6 +289,7 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     cap = cfg.label_cap(m)
     stray_cap = cfg.stray_limit * cap
     rng = random.Random(cfg.seed)
+    popular = sorted(cls.popular)
     free = sorted(set(range(n)) - cls.popular)
     census: dict[str, int] = {t: 0 for t in PAIR_TYPES}
     edges = h.edges
@@ -308,19 +298,21 @@ def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoSte
     step2_attempts = 0
     while step1_attempts < cfg.step1_budget:
         step1_attempts += 1
-        # popular labels drawn in vertex order, so every seed replays
-        partial = {v: rng.randint(1, cap) for v in sorted(cls.popular)}
-        diag = step_one_successful(h, cls, cfg, partial)
-        if not diag.ok:
+        # popular labels drawn in vertex order, so every seed replays; the
+        # free slots are still 0, so the edge sums are P(e)
+        values = [0] * n
+        for v in popular:
+            values[v] = rng.randint(1, cap)
+        label = values.__getitem__
+        popular_sums = [sum(map(label, e)) for e in edges]
+        if not step_one_successful(cls, cfg, popular_sums).ok:
             continue
-        popular_sums = diag.popular_sums
-        values = [partial.get(v, 0) for v in range(n)]
         # with no free vertices, redrawing step two cannot change anything
         for _ in range(cfg.step2_budget if free else 1):
             step2_attempts += 1
             for v in free:
                 values[v] = rng.randint(1, cap)
-            colliding = _ties(sum(values[v] for v in e) for e in edges)
+            colliding = _ties(sum(map(label, e)) for e in edges)
             if not colliding:
                 f = Labeling(values)
                 assert is_distinguishing(h, f) and f.max_label <= cap

@@ -157,8 +157,11 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="^hypergraph needs at least one vertex$"):
             Hypergraph(0, [])
 
-    def test_graph_keeps_a_repeated_pair_once(self):
-        assert Graph(3, [(0, 1), (1, 0), (0, 1)]).edges == {(0, 1)}
+    def test_graph_rejects_a_repeated_pair(self):
+        with pytest.raises(ValidationError) as err:
+            Graph(3, [(0, 1), (1, 0), (0, 1)])
+        assert err.value.reason == "duplicate edge"
+        assert (err.value.edge, err.value.first) == (1, 0)
 
     def test_graph_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):

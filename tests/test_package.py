@@ -1,10 +1,14 @@
 """The package's public surface: ``sumlabel.__all__`` against what
 ``sumlabel/__init__.py`` binds, so a deleted or renamed export cannot
-linger on either side, and every public name against the program code
-that uses it, so that no function lives in the library for tests alone."""
+linger on either side, every public name against the program code
+that uses it, so that no function lives in the library for tests alone,
+and every library name the benchmark's workloads call against the
+package, so that a rename cannot break the benchmark unseen."""
 
 import ast
+import importlib
 import re
+from functools import reduce
 from pathlib import Path
 from types import ModuleType
 
@@ -45,3 +49,34 @@ def test_every_public_name_has_a_non_test_caller():
     used.update(re.findall(r':(\w+)"', scripts))
     unused = sorted(public - used)
     assert unused == [], f"public names that only tests call: {unused}"
+
+
+def _dotted(node: ast.Attribute) -> str | None:
+    """``"a.b.c"`` for an attribute chain on a plain name, else ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_every_library_name_the_benchmark_calls_resolves():
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    # the submodules the workloads import, imported the same way, since a
+    # plain getattr on the package does not load them
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("sumlabel."):
+                    importlib.import_module(alias.name)
+    dotted = {name for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and (name := _dotted(node)) and name.startswith("sumlabel.")}
+    assert "sumlabel.cli.main" in dotted
+
+    def resolves(name: str) -> bool:
+        try:
+            reduce(getattr, name.split(".")[1:], sumlabel)
+        except AttributeError:
+            return False
+        return True
+    assert sorted(name for name in dotted if not resolves(name)) == []

@@ -54,6 +54,12 @@ def draw_popular(cls, cap: int, rng: Random) -> dict[int, int]:
     return {v: rng.randint(1, cap) for v in sorted(cls.popular)}
 
 
+def popular_sums(h: Hypergraph, partial: dict[int, int]) -> list[int]:
+    """P(e) of every edge: the sum of the labels ``partial`` gives its
+    popular vertices."""
+    return [sum(partial.get(v, 0) for v in e) for e in h.edges]
+
+
 def special_pairs(cls) -> set[tuple[int, int]]:
     """The pairs (i, j), i < j, of edges with equal stray parts."""
     return {(i, j) for i, j in combinations(range(len(cls.stray)), 2)
@@ -175,9 +181,9 @@ class TestStepOne:
         h = Hypergraph(12, [frozenset(range(6)), frozenset(range(6, 12))])
         cfg = TwoStepConfig(label_divisor=2.0, dangerous_cutoff=5, stray_limit=3)
         cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
-        assert cls.popular == frozenset()
+        assert cls.popular == frozenset() and cls.edges is h.edges
         # no special and no newly dangerous pairs: vacuously successful
-        diag = step_one_successful(h, cls, cfg, {})
+        diag = step_one_successful(cls, cfg, popular_sums(h, {}))
         assert diag.ok and diag.near_tie_count == 0 and not diag.special_violations
 
     def test_reproducible_and_in_range(self):
@@ -194,7 +200,7 @@ class TestStepOne:
         # draw from its seed that passes the step-one check
         rng, attempts = Random(cfg.seed), 1
         partial = draw_popular(cls, cap, rng)
-        while not step_one_successful(h, cls, cfg, partial).ok:
+        while not step_one_successful(cls, cfg, popular_sums(h, partial)).ok:
             partial, attempts = draw_popular(cls, cap, rng), attempts + 1
         res = two_step_labeling(h, cfg)
         assert attempts > 1 and res.step1_attempts == attempts
@@ -204,9 +210,9 @@ class TestStepOne:
         h = Hypergraph(2, [{0}, {1}])
         cfg = TwoStepConfig(label_divisor=3.5, dangerous_cutoff=6, stray_limit=4)
         cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
-        diag = step_one_successful(h, cls, cfg, {0: 1, 1: 1})
+        diag = step_one_successful(cls, cfg, popular_sums(h, {0: 1, 1: 1}))
         assert not diag.ok and diag.special_violations == [(0, 1)]
-        diag = step_one_successful(h, cls, cfg, {0: 1, 1: 2})
+        diag = step_one_successful(cls, cfg, popular_sums(h, {0: 1, 1: 2}))
         assert diag.ok and diag.special_violations == [] and diag.near_tie_count == 0
 
     def test_near_tie_boundary(self):
@@ -216,9 +222,9 @@ class TestStepOne:
         cfg = TwoStepConfig(label_divisor=1.5, dangerous_cutoff=3, stray_limit=2)
         cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         assert cls.popular == {1, 5} and cls.newly_dangerous == ((0, 3),)
-        diag = step_one_successful(h, cls, cfg, {1: 11, 5: 11})
+        diag = step_one_successful(cls, cfg, popular_sums(h, {1: 11, 5: 11}))
         assert diag.near_tie_count == 1
-        diag = step_one_successful(h, cls, cfg, {1: 11, 5: 12})
+        diag = step_one_successful(cls, cfg, popular_sums(h, {1: 11, 5: 12}))
         assert diag.near_tie_count == 0
 
     def test_near_tie_allowance_arithmetic(self):
@@ -226,7 +232,7 @@ class TestStepOne:
         cfg = TwoStepConfig(label_divisor=4.0)
         cls = classify_edges(h, cfg.dangerous_cutoff, cfg.stray_limit)
         partial = draw_popular(cls, cfg.label_cap(h.edge_count), Random(2))
-        diag = step_one_successful(h, cls, cfg, partial)
+        diag = step_one_successful(cls, cfg, popular_sums(h, partial))
         assert diag.near_tie_allowance == pytest.approx(100 * exp(-16))
         # the allowance is below one, so any near tie at all must fail the check
         assert diag.near_tie_count == 0 or not diag.ok
@@ -337,16 +343,14 @@ class TestAgainstPairOracle:
                               if kind == "special" and skews[key] == 0]
                 near_ties = sum(1 for key, kind in classes.items()
                                 if kind == "newly" and abs(skews[key]) <= stray_cap)
-                partial = {v: labels[v] for v in popular}
-                diag = step_one_successful(h, cls, cfg, partial)
+                sums = popular_sums(h, {v: labels[v] for v in popular})
+                diag = step_one_successful(cls, cfg, sums)
                 assert diag.special_violations == violations
                 assert diag.near_tie_count == near_ties
                 assert diag.ok == (not violations and near_ties <= allowance)
-                popular_sums = cls.popular_sums(partial)
-                assert diag.popular_sums == popular_sums
                 for (i, j), kind in classes.items():
                     skew = skews[(i, j)]
-                    assert popular_sums[i] - popular_sums[j] == skew
+                    assert sums[i] - sums[j] == skew
                     # a cap of 1 separates types b and c at these label sizes
                     expected = census_type_oracle(kind, skew, stray_cap=1)
                     assert cls.pair_type(i, j, skew, 1) == expected
