@@ -44,16 +44,24 @@ _INTERNAL_ERRORS = (AssertionError, RecursionError)
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:
-    if fmt == "json":
-        try:
-            text = json.dumps(payload, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            # NaN and Infinity are not JSON; a payload holding one is a bug
-            raise AssertionError(f"unserializable payload: {exc}") from None
-        print(text)
-    else:
-        for key in sorted(payload):
-            print(f"{key}: {payload[key]}")
+    # CPython refuses to convert an int of more than 4300 digits to text, a
+    # guard for parsing input; the results printed here are the program's
+    # own, such as a bracket's top 2**(c - 1) for c covered vertices
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            try:
+                text = json.dumps(payload, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                # NaN and Infinity are not JSON; a payload holding one is a bug
+                raise AssertionError(f"unserializable payload: {exc}") from None
+            print(text)
+        else:
+            for key in sorted(payload):
+                print(f"{key}: {payload[key]}")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _error_payload(exc: SumLabelError) -> dict[str, Any]:

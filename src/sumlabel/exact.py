@@ -27,6 +27,15 @@ vertex's label (at most (N + 1) / 2 if that class has one member).  The
 search caps that one depth and returns the same witness, or the same
 refutation, at every N; on hypergraphs with edges of several sizes the
 map does not keep sums distinct and no cap is applied.
+
+Each search is compiled.  Its fixed vertex order and per-depth tables
+become Python source with one nested ``while`` loop per depth, each
+partial edge sum written out over the labels it adds; the source is
+compiled once per instance, at roughly 0.05 ms per depth, and reused for
+every N.  The loops try the labels an interpreted walk of the same
+tables tries, in the same order, so the optimum, the witness and every
+node count are the same.  On the complete hypergraph on 6 vertices that
+is about 1.9 microseconds per node, against 4.7 for the interpreted walk.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .hypergraph import Graph, Hypergraph, Labeling, is_distinguishing
 from .transforms import closed_neighborhood_hypergraph, dual
 
 DEFAULT_NODE_BUDGET = 10**7
+_BLOCK = 16  # depths per generated function: CPython nests at most 20 loops in one
 
 
 @dataclass
@@ -184,8 +194,22 @@ class _Search:
     x + p of ``used`` (the bitmask of completed edge sums) is set, so the
     candidates are the clear bits of ``OR(used >> p)`` within [lo, N],
     where lo is the label of the previous vertex of the same class (1 if
-    none).  Accepting x sets bits x + p in ``used``; backtracking clears
-    them.  A *node* is one accepted label.
+    none).  The candidates are tried smallest first; accepting x passes
+    ``used`` with bits x + p set to the next depth.  A *node* is one
+    accepted label.
+
+    The tables are turned into Python source, compiled once per instance
+    and reused for every N (see :meth:`block_source`): one ``while`` loop
+    per depth, nested in depth order, with each partial sum written out
+    over the labels it adds and each depth's ``used`` in its own local, so
+    backtracking is leaving a loop.  CPython nests at most 20 loops in one
+    function, so the depths are cut into blocks of 16, each a generator
+    that :meth:`decide` keeps on an explicit stack, one per block entered:
+    a search as deep as the instance is wide never nests Python calls.  A
+    block is compiled the first time the search enters it, at roughly
+    0.05 ms per depth.  The loops try the labels the earlier interpreted
+    loop tried, in the same order, so optima, witnesses and node counts
+    are the same.
 
     Symmetry: let (u v) map the edge set onto itself and u come first in
     search order.  If a distinguishing labeling f has f(u) > f(v), then f
@@ -233,7 +257,7 @@ class _Search:
         self.multis = [tuple(ms) for ms in multis]
         classes = symmetry_classes(h)
         self.symmetry_classes = len(classes)
-        self.previous = [size] * size  # depth ``size`` holds the label 1 in ``decide``
+        self.previous = [size] * size  # ``size``: no earlier member in the class
         self.reflect_at = -1
         uniform = len({len(e) for e in h.edges}) == 1
         for members in classes:
@@ -244,62 +268,120 @@ class _Search:
                 self.reflect_at = depths[-1]
         self.node_budget = node_budget
         self.nodes = 0
+        self.blocks: list = []  # compiled block functions, in the order the search enters them
 
     def decide(self, max_label: int) -> Labeling | None:
+        """The first distinguishing labeling in search order with labels in
+        [max_label], or None; adds the labels accepted to ``self.nodes``."""
         size = len(self.order)
-        singles, multis, previous = self.singles, self.multis, self.previous
-        last = self.reflect_at
+        labels = [0] * size
+        if not size:
+            return self.labeling(labels)
         budget = self.node_budget if self.node_budget is not None else 1 << 64
-        nodes = self.nodes
-        labels = [0] * size + [1]
-        candidates = [0] * size  # labels still to try at each depth, as a bitmask
-        partials = [0] * size  # bitmask of the partial sums of the edges completed there
-        used = 0
-        top = (1 << (max_label + 1)) - 1
-        d = 0
-        try:
-            while d < size:
-                c = mask = forbidden = 0
-                for j in singles[d]:
-                    p = labels[j]
-                    if mask >> p & 1:
-                        break
-                    mask |= 1 << p
-                    forbidden |= used >> p
-                else:
-                    for members in multis[d]:
-                        p = 0
-                        for j in members:
-                            p += labels[j]
-                        if mask >> p & 1:
-                            break
-                        mask |= 1 << p
-                        forbidden |= used >> p
-                    else:
-                        c = top & ~forbidden & -(1 << labels[previous[d]])
-                        if d == last:
-                            cap = max_label + 1 - labels[0] if d else (max_label + 1) // 2
-                            c &= (2 << cap) - 1
-                partials[d] = mask
-                while not c:
-                    d -= 1
-                    if d < 0:
-                        return None
-                    used ^= partials[d] << labels[d]
-                    c = candidates[d]
-                low = c & -c
-                candidates[d] = c ^ low
-                nodes += 1
-                if nodes > budget:
+        args = (labels, (1 << max_label + 1) - 2, max_label + 1, budget)
+        stack = [self.block(0)(0, self.nodes, *args)]
+        sent = None
+        while stack:
+            try:
+                used, self.nodes = stack[-1].send(sent)
+            except StopIteration as stop:
+                stack.pop()
+                sent = self.nodes = stop.value
+                if sent > budget:
                     raise BudgetExhausted(f"node budget {budget} exhausted",
-                                          detail={"nodes": nodes})
-                x = low.bit_length() - 1
-                labels[d] = x
-                used |= partials[d] << x
-                d += 1
-        finally:
-            self.nodes = nodes
-        return self.labeling(labels)
+                                          detail={"nodes": sent}) from None
+                continue
+            if len(stack) * _BLOCK >= size:
+                return self.labeling(labels)
+            stack.append(self.block(len(stack))(used, self.nodes, *args))
+            sent = None
+        return None
+
+    def block(self, b: int):
+        """The generator function that searches block b, compiled the first
+        time the search enters that block."""
+        if b == len(self.blocks):
+            namespace: dict = {}
+            exec(compile(self.block_source(b), f"<search block {b}>", "exec"), namespace)
+            self.blocks.append(namespace["block"])
+        return self.blocks[b]
+
+    def block_source(self, b: int) -> str:
+        """Python source of block b, the depths [16b, 16b + 16): one
+        ``while`` loop per depth, nested in depth order.
+
+        ``x<d>`` is the label at depth d, ``c<d>`` its candidates still to
+        try, ``m<d>`` the bitmask of the partial sums of the edges d
+        completes and ``u<d>`` the bitmask of the sums completed above d.
+        The block reads the labels of earlier blocks from ``L``, writes its
+        own there and yields ``(used, nodes)`` after accepting a label at
+        its last depth; :meth:`decide` sends back the node count once the
+        later blocks are exhausted.  A block returns its node count when it is
+        exhausted, or as soon as the count passes the budget.  Only integer
+        indices and fixed text reach the source.
+        """
+        size = len(self.order)
+        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, size)
+        lines = [f"def block(u{lo}, nodes, L, top, n1, budget):"]
+        reads = {j for d in range(lo, hi)
+                 for j in (*self.singles[d], *(j for ms in self.multis[d] for j in ms),
+                           self.previous[d])}
+        if lo <= self.reflect_at < hi:
+            reads.add(0)
+        lines += [f" x{j} = L[{j}]" for j in sorted(reads) if j < lo]
+        pad, used = " ", f"u{lo}"
+        sums: dict[tuple[int, ...], str] = {}  # partial sums the block has computed, by members
+        masks: list[tuple[str, set[str]]] = []  # each outer depth's mask and its partials
+        for d in range(lo, hi):
+            parts = [f"x{j}" for j in self.singles[d]]
+            for members in self.multis[d]:
+                if members and members not in sums:
+                    # start from the longest prefix already computed at this or an outer depth
+                    k = next(k for k in range(len(members) - 1, 0, -1)
+                             if k == 1 or members[:k] in sums)
+                    head = sums[members[:k]] if k > 1 else f"x{members[0]}"
+                    sums[members] = f"s{len(sums)}"
+                    lines.append(f"{pad}{sums[members]} = {head} + "
+                                 + " + ".join(f"x{j}" for j in members[k:]))
+                parts.append(sums[members] if members else "0")
+            c = "top"
+            if parts:
+                # OR in the largest mask of an outer depth whose partials are all among these;
+                # when it holds them all, it already passed the check for repeated partials
+                outer, have = max((m for m in masks if m[1] <= set(parts)),
+                                  key=lambda m: len(m[1]), default=("", set()))
+                new = [f"1 << {p}" for p in parts if p not in have]
+                mask = f"m{d}" if new else outer
+                if new:
+                    lines.append(f"{pad}{mask} = {' | '.join(([outer] if outer else []) + new)}")
+                    masks.append((mask, set(parts)))
+                    # a singleton edge's partial 0 is below every other partial
+                    nonzero = [p for p in parts if p != "0"]
+                    if len(nonzero) == 2:
+                        lines.append(f"{pad}if {nonzero[0]} != {nonzero[1]}:")
+                    elif len(nonzero) > 2:
+                        lines.append(f"{pad}if {mask}.bit_count() == {len(parts)}:")
+                    pad += " " * (len(nonzero) > 1)
+                c += f" & ~({' | '.join(f'{used} >> {p}' if p != '0' else used for p in parts)})"
+            if self.previous[d] < size:
+                c += f" & -(1 << x{self.previous[d]})"
+            if d == self.reflect_at:
+                c += f" & ((2 << {'n1 - x0' if d else 'n1 // 2'}) - 1)"
+            lines += [f"{pad}c{d} = {c}",
+                      f"{pad}while c{d}:",
+                      f"{pad} b = c{d} & -c{d}",
+                      f"{pad} c{d} ^= b",
+                      f"{pad} x{d} = b.bit_length() - 1",
+                      f"{pad} nodes += 1",
+                      f"{pad} if nodes > budget: return nodes"]
+            pad += " "
+            if parts:
+                lines.append(f"{pad}u{d + 1} = {used} | {mask} << x{d}")
+                used = f"u{d + 1}"
+        lines += [f"{pad}L[{lo}:{hi}] = {', '.join(f'x{d}' for d in range(lo, hi))},",
+                  f"{pad}nodes = yield {used}, nodes",
+                  " return nodes"]
+        return "\n".join(lines) + "\n"
 
     def labeling(self, labels: list[int]) -> Labeling:
         """The labeling giving ``labels[d]`` to the vertex at depth d and 1

@@ -265,6 +265,11 @@ def merge_inequality_check(p, t1: int, t2: int) -> MergeChecks:
     Both are decided by integer cross-multiplication after cancelling the
     positive common factor (1-p)**(t1+t2-2), so the answers are exact for
     any rational p in (0, 1).
+
+    conv1 always holds.  With p = pn/pd, its right side less its left side
+    is pn**2 * (t2 - t1 - 1) > 0 for t1 <= t2 - 2 and 0 < p < 1.  This is
+    the log-concavity of g that lets Jensen's inequality bound a product
+    of g over the sum classes by its value at their mean size.
     """
     q = _as_fraction(p)
     if t1 < 2:

@@ -263,6 +263,70 @@ def decide(h: Hypergraph, max_label: int, node_budget: int | None = None) -> Lab
     return found
 
 
+def loop_decide_oracle(search: _Search, max_label: int) -> Labeling | None:
+    """The exact search's decision step as the hand-written loop that ran
+    before the search was compiled per instance: the same set-up tables
+    (``order``, ``singles``, ``multis``, ``previous``, ``reflect_at``),
+    walked by one interpreted loop over depths that undoes ``used`` with an
+    XOR on backtracking.  Adds the labels it accepts to ``search.nodes``
+    and raises the same ``BudgetExhausted``, so the compiled search must
+    match it witness for witness and node for node."""
+    size = len(search.order)
+    singles, multis, previous = search.singles, search.multis, search.previous
+    last = search.reflect_at
+    budget = search.node_budget if search.node_budget is not None else 1 << 64
+    nodes = search.nodes
+    labels = [0] * size + [1]
+    candidates = [0] * size  # labels still to try at each depth, as a bitmask
+    partials = [0] * size  # bitmask of the partial sums of the edges completed there
+    used = 0
+    top = (1 << (max_label + 1)) - 1
+    d = 0
+    try:
+        while d < size:
+            c = mask = forbidden = 0
+            for j in singles[d]:
+                p = labels[j]
+                if mask >> p & 1:
+                    break
+                mask |= 1 << p
+                forbidden |= used >> p
+            else:
+                for members in multis[d]:
+                    p = 0
+                    for j in members:
+                        p += labels[j]
+                    if mask >> p & 1:
+                        break
+                    mask |= 1 << p
+                    forbidden |= used >> p
+                else:
+                    c = top & ~forbidden & -(1 << labels[previous[d]])
+                    if d == last:
+                        cap = max_label + 1 - labels[0] if d else (max_label + 1) // 2
+                        c &= (2 << cap) - 1
+            partials[d] = mask
+            while not c:
+                d -= 1
+                if d < 0:
+                    return None
+                used ^= partials[d] << labels[d]
+                c = candidates[d]
+            low = c & -c
+            candidates[d] = c ^ low
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted",
+                                      detail={"nodes": nodes})
+            x = low.bit_length() - 1
+            labels[d] = x
+            used |= partials[d] << x
+            d += 1
+    finally:
+        search.nodes = nodes
+    return search.labeling(labels)
+
+
 ORACLE_GUARD = 10**8
 
 

@@ -1,20 +1,25 @@
-"""Exact solver against the brute-force enumeration oracle and the earlier
-recursive search."""
+"""Exact solver against the brute-force enumeration oracle, the earlier
+recursive search and the earlier interpreted search loop."""
 
-from itertools import combinations
+import json
+from itertools import combinations, count
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumlabel import (BudgetExhausted, DualDegenerate, Graph, Hypergraph,
                       closed_neighborhood_hypergraph, dual, exact_irr, exact_s, exact_s_star,
                       is_distinguishing, s_star_bounds)
-from sumlabel.exact import DEFAULT_NODE_BUDGET, _static_vertex_order, symmetry_classes
+from sumlabel.cli import main
+from sumlabel.exact import (DEFAULT_NODE_BUDGET, _quick_lower_bound, _Search,
+                            _static_vertex_order, symmetry_classes)
 
 from helpers import (OracleTooLarge, brute_force_decide, brute_force_min_max_label,
                      brute_force_s_star, complete_graph, complete_hypergraph, decide,
-                     exact_search_oracle, graph_as_hypergraph, oracle_enumerate, path_graph,
-                     random_graph, random_hypergraph, star_graph, symmetry_classes_oracle)
+                     exact_search_oracle, graph_as_hypergraph, loop_decide_oracle,
+                     oracle_enumerate, path_graph, random_graph, random_hypergraph, star_graph,
+                     symmetry_classes_oracle)
 
 
 class TestDecideLabeling:
@@ -412,6 +417,13 @@ class TestNodeCounts:
         assert res.nodes_per_bound == {10: 3983, 11: 703}
         assert res.witness.values == (4, 1, 11, 8, 6, 11, 2, 10)
 
+    def test_s_star_of_a_fourteen_vertex_graph(self):
+        # the s* path: edges of several sizes, so no reflection cap
+        g = random_graph(Random(5), 14, 0.3)
+        assert self.mixed_sizes(closed_neighborhood_hypergraph(g))
+        res = exact_s_star(g)
+        assert (res.optimum, res.nodes_per_bound) == (3, {3: 78004})
+
 
 class TestSymmetryClasses:
     def test_twins(self):
@@ -481,3 +493,102 @@ class TestIterativeSearch:
     def test_no_edges(self):
         res = exact_s(Hypergraph(4, []))
         assert (res.optimum, res.witness.values, res.nodes_expanded) == (1, (1, 1, 1, 1), 0)
+
+
+def _ladder(h: Hypergraph, budget: int | None, decide_step) -> list[tuple]:
+    """Each decision ``decide_step(search, N)`` of one search from the quick
+    lower bound up, as (N, witness or None, nodes so far), ending at the
+    first witness or at the exhausted budget's message and detail."""
+    search = _Search(h, budget)
+    steps: list[tuple] = []
+    for bound in count(_quick_lower_bound(h)):
+        try:
+            found = decide_step(search, bound)
+        except BudgetExhausted as exc:
+            return steps + [(bound, str(exc), exc.detail, search.nodes)]
+        steps.append((bound, found, search.nodes))
+        if found is not None:
+            return steps
+
+
+def _assert_loop_order(h: Hypergraph, budgets=None) -> int:
+    """The compiled search and the interpreted loop agree on every ladder
+    step without a budget and at each budget (by default every one from 1
+    to the node count); returns the unbudgeted node count."""
+    steps = _ladder(h, None, loop_decide_oracle)
+    assert _ladder(h, None, _Search.decide) == steps
+    nodes = steps[-1][-1]
+    for budget in range(1, nodes + 1) if budgets is None else budgets:
+        assert _ladder(h, budget, _Search.decide) == _ladder(h, budget, loop_decide_oracle)
+    return nodes
+
+
+@st.composite
+def search_hypergraphs(draw) -> Hypergraph:
+    """Small hypergraphs with edges of mixed sizes, of one size (the
+    reflection cap), with a twin of vertex 0 (the class constraint), or
+    with size-1 edges throughout."""
+    kind = draw(st.sampled_from(("mixed", "uniform", "twins", "singletons")))
+    n = draw(st.integers(1, 5))
+    if kind == "uniform":
+        r = draw(st.integers(1, min(n, 3)))
+        pool = list(combinations(range(n), r))
+    else:
+        pool = [e for k in range(1, n + 1) for e in combinations(range(n), k)]
+    edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    if kind == "twins":
+        edges = [e + (n,) if 0 in e else e for e in edges]
+        n += 1
+    if kind == "singletons":
+        edges = sorted(set(edges) | {(v,) for v in draw(st.sets(st.integers(0, n - 1),
+                                                                min_size=1))})
+    return Hypergraph(n, edges)
+
+
+class TestCompiledSearchAgainstLoop:
+    """The compiled search visits the labels the interpreted loop visits,
+    in the same order: the same witness and the same nodes at every bound
+    and under every budget."""
+
+    @settings(deadline=None)
+    @given(h=search_hypergraphs())
+    def test_every_bound_and_budget(self, h):
+        _assert_loop_order(h)
+
+    @staticmethod
+    def matching_with_singletons(c: int) -> Hypergraph:
+        """Pairs {2i, 2i + 1} and singletons {2i}, covering all c vertices;
+        for odd c the last vertex has only its singleton."""
+        return Hypergraph(c, [(v, v + 1) for v in range(0, c - 1, 2)]
+                          + [(v,) for v in range(0, c, 2)])
+
+    @pytest.mark.parametrize("covered, optimum, nodes", [
+        (0, 1, 0), (1, 1, 1), (16, 8, 16), (17, 9, 519), (33, 17, 131087)])
+    def test_block_boundaries(self, covered, optimum, nodes):
+        # blocks hold 16 depths; at 17 and 33 covered vertices the search
+        # backtracks out of the last block 255 and 65,535 times
+        h = self.matching_with_singletons(covered) if covered else Hypergraph(3, [])
+        assert sum(map(bool, h.incidence)) == covered
+        res = exact_s(h, node_budget=None)
+        assert (res.optimum, res.nodes_expanded) == (optimum, nodes)
+        budgets = None if nodes < 1000 else (15, 16, 17, 31, 32, 33, 34, 999, nodes - 1, nodes)
+        assert _assert_loop_order(h, budgets) == nodes
+
+    def test_two_hundred_singleton_edges(self):
+        h = Hypergraph(200, [(v,) for v in range(200)])
+        res = exact_s(h)
+        assert (res.optimum, res.nodes_expanded) == (200, 200)
+        assert res.witness.values == tuple(range(1, 201))
+        _assert_loop_order(h, (1, 16, 17, 32, 33, 199, 200))
+
+    def test_solve_on_twenty_thousand_vertices_stops_at_the_budget(self, capsys, tmp_path):
+        # a search as deep as the instance is wide must not nest Python calls
+        path = tmp_path / "wide.hg"
+        path.write_text("20000 20000\n" + "".join(f"1 {v}\n" for v in range(20000)))
+        assert main(["solve", "s", str(path), "--budget", "1000"]) == 1
+        out = capsys.readouterr().out
+        # the bracket's top, 2**19999, has more digits than json.loads converts
+        payload = json.loads(out, parse_int=str)
+        assert payload["error"] == "BudgetExhausted"
+        assert payload["detail"] == {"nodes": "1001"}
+        assert payload["bracket"][0] == "20000" and len(payload["bracket"][1]) == 6021

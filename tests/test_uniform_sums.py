@@ -307,6 +307,17 @@ class TestMergeInequalities:
         assert conv1 == (g(p, t1) * g(p, t2) <= g(p, t1 + 1) * g(p, t2 - 1))
         assert decrease == (g(p, t2) ** 2 <= g(p, 2) ** t2)
 
+    @settings(max_examples=80)
+    @given(p=st.fractions(0, 1, max_denominator=10**6).filter(lambda p: 0 < p < 1),
+           t1=st.integers(2, 60), gap=st.integers(2, 60))
+    def test_conv1_always_holds(self, p, t1, gap):
+        # g(t1 + 1) g(t2 - 1) - g(t1) g(t2) = (1 - p)**(t1 + t2 - 2) p**2 (t2 - t1 - 1) > 0
+        t2 = t1 + gap
+        g = binomial_tail_le_one
+        assert merge_inequality_check(p, t1, t2).conv1_holds
+        assert (g(p, t1 + 1) * g(p, t2 - 1) - g(p, t1) * g(p, t2)
+                == (1 - p) ** (t1 + t2 - 2) * p**2 * (t2 - t1 - 1))
+
 
 class TestCollisionProbability:
     def test_two_singletons_tight(self):
