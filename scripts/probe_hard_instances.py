@@ -47,7 +47,7 @@ def main() -> None:
     print("\n== complete hypergraphs (every nonempty subset) ==")
     report = run_experiment(ExperimentConfig(kind="complete", measure="exact_s", sizes=(2, 3, 4)))
     for rec in report.records:
-        print(f"n={rec['n']}: m={rec['m']:3d}, s={rec['s']}")
+        print(f"n={rec['n']}: m={rec['m']:3d}, s={rec['optimum']}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Exact minimum max-label solvers at desk scale, randomized and
 deterministic labeling algorithms, exact sum-of-uniforms distribution
-tools, and seeded instance generators, with a CLI front end.
+tools, seeded instance generators and experiments, with a CLI front end.
 """
 
 from .constructive import (DegreeBoundsReport, LeafStat, RepairResult, leaf_stat,
@@ -11,9 +11,9 @@ from .errors import (BudgetExhausted, DimensionError, DualDegenerate, Infeasible
                      ParamsOutOfRange, ParseError, ShapeError, SumLabelError, TooLarge,
                      ValidationError)
 from .exact import SolveResult, exact_irr, exact_s, exact_s_star
-from .generators import (ExperimentConfig, ExperimentReport, GeneratedInstance,
-                         LowerBoundParams, gen_runiform, lower_bound_instance,
-                         lower_bound_params, run_experiment)
+from .experiment import ExperimentConfig, ExperimentReport, run_experiment
+from .generators import (GeneratedInstance, LowerBoundParams, gen_runiform,
+                         lower_bound_instance, lower_bound_params)
 from .hypergraph import Graph, Hypergraph, Labeling, edge_sums, is_distinguishing
 from .randomized import (PairClassification, QuadraticResult, TwoStepConfig, TwoStepResult,
                          classify_edges, quadratic_random_labeling, step_one_successful,

@@ -31,13 +31,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from . import constructive, exact, formats, generators, randomized, transforms, uniform_sums
+from . import (constructive, exact, experiment, formats, generators, randomized, transforms,
+               uniform_sums)
 from .errors import (BudgetExhausted, DualDegenerate, InfeasibleParams, ParseError,
                      SumLabelError, TooLarge, ValidationError)
 from .hypergraph import Graph, Labeling, is_distinguishing
 from .transforms import is_vertex_sum_distinguishing
-
-DEFAULT_SEED = randomized.DEFAULT_SEED
 
 _RESULT_ERRORS = (DualDegenerate, BudgetExhausted, InfeasibleParams, TooLarge)
 _INTERNAL_ERRORS = (AssertionError, RecursionError)
@@ -64,17 +63,6 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
         sys.set_int_max_str_digits(limit)
 
 
-def _error_payload(exc: SumLabelError) -> dict[str, Any]:
-    """JSON error of an infeasibility-type result, keeping the partial
-    results an exhausted budget carries."""
-    payload: dict[str, Any] = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, BudgetExhausted):
-        if exc.bracket is not None:
-            payload["bracket"] = list(exc.bracket)
-        payload["detail"] = exc.detail
-    return payload
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -97,8 +85,7 @@ def _write_or_print(text: str, path: str | None, meta: dict[str, Any]) -> dict[s
 
 def _cmd_solve(args) -> dict[str, Any]:
     res = args.solver(args.parse(_read(args.file)), args.budget)
-    return {"optimum": res.optimum, "witness": list(res.witness.values),
-            "nodes": res.nodes_expanded}
+    return {"witness": list(res.witness.values), **res.to_mapping()}
 
 
 def _verified_payload(instance, f: Labeling, **extra) -> dict[str, Any]:
@@ -111,8 +98,7 @@ def _verified_payload(instance, f: Labeling, **extra) -> dict[str, Any]:
 def _cmd_quadratic(args) -> dict[str, Any]:
     h = formats.parse_hypergraph(_read(args.file))
     res = randomized.quadratic_random_labeling(h, args.seed, args.budget)
-    return _verified_payload(h, res.labeling, attempts=res.attempts, seed=args.seed,
-                             max_allowed=max(1, h.edge_count) ** 2)
+    return _verified_payload(h, res.labeling, seed=args.seed, **res.to_mapping())
 
 
 def _cmd_two_step(args) -> dict[str, Any]:
@@ -121,16 +107,13 @@ def _cmd_two_step(args) -> dict[str, Any]:
         label_divisor=args.C, dangerous_cutoff=args.K, stray_limit=args.P,
         seed=args.seed, step1_budget=args.step1_budget, step2_budget=args.step2_budget)
     res = randomized.two_step_labeling(h, cfg)
-    return _verified_payload(
-        h, res.labeling, seed=args.seed, label_cap=res.label_cap,
-        step1_attempts=res.step1_attempts, step2_attempts=res.step2_attempts,
-        collision_census=res.collision_census)
+    return _verified_payload(h, res.labeling, seed=args.seed, **res.to_mapping())
 
 
 def _cmd_repair(args) -> dict[str, Any]:
     g = formats.parse_graph(_read(args.file))
     res = constructive.repair_labeler(g)
-    return _verified_payload(g, res.labeling, xi=res.xi, iterations=len(res.steps))
+    return _verified_payload(g, res.labeling, **res.to_mapping())
 
 
 def _cmd_tree(args) -> dict[str, Any]:
@@ -197,11 +180,10 @@ def _cmd_experiment(args) -> dict[str, Any]:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON config: {exc}") from exc
     try:
-        config = generators.ExperimentConfig.from_mapping(raw)
+        config = experiment.ExperimentConfig.from_mapping(raw)
     except TypeError as exc:
         raise ValidationError(f"bad experiment config: {exc}") from exc
-    report = generators.run_experiment(config)
-    return report.to_mapping(include_timing=args.timing)
+    return experiment.run_experiment(config).to_mapping(include_timing=args.timing)
 
 
 def _parse_labels(args) -> Labeling:
@@ -280,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     leaves = sub.add_parser("label", help="construct a distinguishing labeling").add_subparsers(
         dest="algorithm", required=True)
     p = _file_leaf(leaves, "quadratic", _cmd_quadratic, "random labels in [m^2] (.hg)")
-    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=generators.DEFAULT_SEED)
     p.add_argument("--budget", type=_integer, default=64, help="retry budget")
     p = _file_leaf(leaves, "two-step", _cmd_two_step, "random labels in [ceil(m^2/C)] (.hg)")
-    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=generators.DEFAULT_SEED)
     p.add_argument("--C", type=_real, default=4.0, help="label range divisor")
     p.add_argument("--K", type=_integer, default=64, help="dangerous-pair size cutoff")
     p.add_argument("--P", type=_integer, default=16, help="non-popular vertex allowance")
@@ -302,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_integer)
     p.add_argument("r", type=_integer)
     p.add_argument("p", type=_real)
-    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=generators.DEFAULT_SEED)
     p.add_argument("--out")
     p = leaves.add_parser("lowerbound", help="hard instance of exact (n, m) shape")
     p.set_defaults(func=_cmd_lowerbound)
@@ -310,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=_integer)
     p.add_argument("eps", type=_real)
     p.add_argument("--delta", type=_real, default=0.1)
-    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=generators.DEFAULT_SEED)
     p.add_argument("--out")
 
     p = sub.add_parser("pmf", help="exact sum-of-uniforms distribution")
@@ -352,7 +334,7 @@ def _run(argv: list[str] | None) -> int:
         try:
             result = args.func(args)
         except _RESULT_ERRORS as exc:
-            result = _error_payload(exc), 1
+            result = exc.to_mapping(), 1
         payload, code = result if isinstance(result, tuple) else (result, 0)
         if payload is not None:
             _emit(payload, args.format)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 from .errors import ShapeError
 from .hypergraph import Graph, Labeling, _ties
@@ -103,6 +103,10 @@ class RepairResult:
     xi: int
     steps: tuple[RepairStep, ...]
 
+    def to_mapping(self) -> dict:
+        return {"max_label": self.labeling.max_label, "xi": self.xi,
+                "iterations": len(self.steps)}
+
 
 def repair_labeler(g: Graph) -> RepairResult:
     """Vertex sum-distinguishing labeling with max label at most xi, by
@@ -115,34 +119,42 @@ def repair_labeler(g: Graph) -> RepairResult:
     admissible new value is used.
 
     The closed sums are kept up to date (relabeling x moves those of
-    N[x] only), and the new value is the lowest clear bit of the
-    forbidden mask: besides listing the tied pairs, a step costs O(n)
-    Python operations and at most |N[x]| shifts of an int as wide as
-    the largest sum.
+    N[x] only), bad pairs are counted per group of tied sums, not
+    listed, and the new value is the lowest clear bit of the forbidden
+    mask: a step costs O(n) Python operations and at most |N[x]| shifts
+    of an int as wide as the largest sum.
     """
     n = g.vertex_count
     if n < 1:
         raise ValueError("repair needs at least one vertex")
     xi = _xi(n, [g.degree(v) for v in range(n)])
     closed = [g.closed_neighborhood(v) for v in range(n)]
+    twin_ids: dict[frozenset[int], int] = {}  # one per closed neighbourhood
+    twin = [twin_ids.setdefault(c, len(twin_ids)) for c in closed]
     values = [1] * n
     steps: list[RepairStep] = []
     prev_bad: int | None = None
     max_iterations = n * (n - 1) // 2 + 1
     sums = [len(c) for c in closed]  # the closed sums under all-ones
     for _ in range(max_iterations):
-        # a bad pair ties on its closed sum, so look for them only inside
-        # the groups of tied vertices
-        bad = sorted((u, v) for vs in _ties(sums) for u, v in combinations(vs, 2)
-                     if closed[u] != closed[v])
+        # a bad pair is two tied vertices with different closed neighbourhoods
+        # (not twins); the groups come in order of first vertex, so the first
+        # group with a bad pair holds the smallest: its first vertex and the
+        # next non-twin
+        bad, pair = 0, None
+        for vs in _ties(sums):
+            count = comb(len(vs), 2) - sum(comb(len(t), 2) for t in _ties(twin[v] for v in vs))
+            if count and pair is None:
+                pair = vs[0], next(v for v in vs if twin[v] != twin[vs[0]])
+            bad += count
         if prev_bad is not None:
-            assert len(bad) < prev_bad, "bad-pair count failed to decrease"
+            assert bad < prev_bad, "bad-pair count failed to decrease"
         if not bad:
             f = Labeling(values)
             assert is_vertex_sum_distinguishing(g, f) and f.max_label <= xi
             return RepairResult(f, xi, tuple(steps))
-        prev_bad = len(bad)
-        u, v = bad[0]
+        prev_bad = bad
+        u, v = pair
         if v not in g.adjacency[u]:
             x = u
         else:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class SumLabelError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors; ``to_mapping`` reports one as a result."""
+
+    def to_mapping(self) -> dict:
+        return {"error": type(self).__name__, "message": str(self)}
 
 
 class DimensionError(SumLabelError):
@@ -39,6 +42,10 @@ class BudgetExhausted(SumLabelError):
         self.bracket = bracket
         self.detail = detail or {}
         super().__init__(message)
+
+    def to_mapping(self) -> dict:
+        bracket = {} if self.bracket is None else {"bracket": list(self.bracket)}
+        return {**super().to_mapping(), **bracket, "detail": self.detail}
 
 
 class TooLarge(SumLabelError):

@@ -41,9 +41,8 @@ from itertools import combinations
 from math import ceil, exp
 
 from .errors import BudgetExhausted
+from .generators import DEFAULT_SEED
 from .hypergraph import Hypergraph, Labeling, _ties, is_distinguishing
-
-DEFAULT_SEED = 0xD15C0
 
 PAIR_TYPES = ("a", "b", "c", "d", "e")
 
@@ -185,6 +184,11 @@ def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
 class QuadraticResult:
     labeling: Labeling
     attempts: int
+    max_allowed: int
+
+    def to_mapping(self) -> dict:
+        return {"max_label": self.labeling.max_label, "attempts": self.attempts,
+                "max_allowed": self.max_allowed}
 
 
 def quadratic_random_labeling(h: Hypergraph, seed: int = DEFAULT_SEED,
@@ -199,13 +203,13 @@ def quadratic_random_labeling(h: Hypergraph, seed: int = DEFAULT_SEED,
         raise ValueError("budget must be positive")
     m = h.edge_count
     if m <= 1:
-        return QuadraticResult(Labeling.all_ones(h.vertex_count), 0)
+        return QuadraticResult(Labeling.all_ones(h.vertex_count), 0, 1)
     cap = m * m
     rng = random.Random(seed)
     for attempt in range(1, budget + 1):
         f = Labeling(rng.randint(1, cap) for _ in range(h.vertex_count))
         if is_distinguishing(h, f):
-            return QuadraticResult(f, attempt)
+            return QuadraticResult(f, attempt, cap)
     raise BudgetExhausted(f"no distinguishing labeling in {budget} quadratic attempts",
                           detail={"attempts": budget})
 
@@ -262,6 +266,11 @@ class TwoStepResult:
     popular_count: int
     free_count: int
     collision_census: dict[str, int]
+
+    def to_mapping(self) -> dict:
+        return {"max_label": self.labeling.max_label, "label_cap": self.label_cap,
+                "step1_attempts": self.step1_attempts, "step2_attempts": self.step2_attempts,
+                "collision_census": self.collision_census}
 
 
 def two_step_labeling(h: Hypergraph, cfg: TwoStepConfig | None = None) -> TwoStepResult:

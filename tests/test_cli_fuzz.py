@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumlabel import generators
+from sumlabel import experiment, generators
 from sumlabel.cli import main
 from sumlabel.formats import parse_hypergraph, serialize_hypergraph
 
@@ -57,9 +57,9 @@ REALS = ("edge_probability", "eps", "delta", "label_divisor")
 
 def test_field_lists_name_every_config_field():
     # a field left out of these lists would go unchecked and unfuzzed
-    fields = sorted(f.name for f in dataclasses.fields(generators.ExperimentConfig))
+    fields = sorted(f.name for f in dataclasses.fields(experiment.ExperimentConfig))
     assert sorted([*INT_LISTS, *INTS, *REALS, "kind", "measure"]) == fields
-    assert sorted([*INT_LISTS, *generators._INT_FIELDS, *generators._REAL_FIELDS,
+    assert sorted([*INT_LISTS, *experiment._INT_FIELDS, *experiment._REAL_FIELDS,
                    "kind", "measure"]) == fields
 
 

@@ -6,12 +6,13 @@ from random import Random
 import pytest
 
 from sumlabel import (Graph, ShapeError, exact_s_star, is_vertex_sum_distinguishing,
-                      leaf_stat, repair_labeler, s_star_bounds, tree_labeler)
+                      leaf_stat, lower_bound_instance, repair_labeler, s_star_bounds,
+                      tree_labeler)
 from sumlabel.hypergraph import Labeling
 
 from helpers import (broom_tree, caterpillar_tree, complete_graph, path_graph, random_graph,
-                     random_tree, repair_labeler_oracle, spider_tree, star_graph,
-                     tree_labeler_oracle)
+                     random_tree, repair_labeler_oracle, spider_tree, split_embed,
+                     star_graph, tree_labeler_oracle)
 
 
 class TestBounds:
@@ -128,6 +129,14 @@ class TestRepair:
                 offset += part.vertex_count
             stepped += bool(self._assert_matches_oracle(Graph(offset, edges)).steps)
         assert stepped >= 50, stepped
+
+    def test_matches_earlier_repair_on_split_embeddings(self):
+        # dense graphs: a clique of n edge vertices joined to n hypergraph
+        # vertices, where each step repairs one of many tied pairs
+        for n in (35, 45, 60):
+            for seed in (1, 2):
+                g, _ = split_embed(lower_bound_instance(n, n, 0.7, seed=seed).hypergraph)
+                assert len(self._assert_matches_oracle(g).steps) >= n // 2
 
     def test_deterministic(self):
         g = random_graph(Random(107), 10, 0.5)

@@ -845,7 +845,7 @@ class TestCli:
         code, out = self.run(capsys, "experiment", str(cfg_file))
         payload = json.loads(out)
         assert code == 0
-        assert [r["s"] for r in payload["records"]] == [2, 4]
+        assert [r["optimum"] for r in payload["records"]] == [2, 4]
         assert "elapsed" not in payload
         _, again = self.run(capsys, "experiment", str(cfg_file))
         assert out == again

@@ -181,7 +181,7 @@ class TestExperiments:
         report = run_experiment(cfg)
         # n=4 is 7, not 8: {3,5,6,7} has all 15 subset sums distinct, and
         # enumeration rules out max 6, so powers of two stop being optimal here
-        assert [r["s"] for r in report.records] == [4, 7]
+        assert [r["optimum"] for r in report.records] == [4, 7]
         assert report.summary["min_s"] == 4 and report.summary["max_s"] == 7
 
     def test_reports_reproducible(self):
@@ -190,7 +190,7 @@ class TestExperiments:
         a, b = run_experiment(cfg), run_experiment(cfg)
         assert a == b  # elapsed excluded from comparison
         assert a.to_mapping() == b.to_mapping()
-        assert all(r["s"] is not None for r in a.records)
+        assert all("optimum" in r for r in a.records)
         assert a.summary["min_s"] <= a.summary["median_s"] <= a.summary["max_s"]
 
     def test_complete_runs_every_seed_for_every_size(self):
@@ -226,8 +226,10 @@ class TestExperiments:
         cfg = ExperimentConfig(kind="complete", measure="exact_s", sizes=(4,), node_budget=10)
         report = run_experiment(cfg)
         # K4 has s = 7; the budget runs out at the start bound ceil(15 / 4)
-        assert report.records == ({"seed": cfg.seeds[0], "n": 4, "m": 15, "s": None,
-                                   "bracket": [4, 8]},)
+        assert report.records == ({"seed": cfg.seeds[0], "n": 4, "m": 15,
+                                   "error": "BudgetExhausted",
+                                   "message": "node budget exhausted while testing N=4",
+                                   "bracket": [4, 8], "detail": {"nodes": 11}},)
         assert report.summary == {"runs": 1}
 
     def test_exhausted_two_step_budget_keeps_every_record(self):
@@ -236,15 +238,18 @@ class TestExperiments:
                                label_divisor=15)
         records = run_experiment(cfg).records
         assert [r["seed"] for r in records] == list(range(6))
+        assert [r["seed"] for r in records if "error" in r] == [1, 2, 3, 5]
         for r in records:
-            assert set(r) == {"seed", "n", "m", "step1_attempts", "step2_attempts",
-                              "max_label", "label_cap"}
-            assert r["label_cap"] == -(-r["m"] ** 2 // 15)
-        exhausted = [r["seed"] for r in records if r["max_label"] is None]
-        assert exhausted == [1, 2, 3, 5]
-        assert all((r["step1_attempts"], r["step2_attempts"]) == (1000, 0)
-                   for r in records if r["max_label"] is None)
-        assert all(r["max_label"] <= r["label_cap"] for r in records if r["max_label"])
+            if "error" in r:
+                assert set(r) == {"seed", "n", "m", "error", "message", "detail"}
+                assert r["error"] == "BudgetExhausted"
+                detail = r["detail"]
+                assert (detail["step1_attempts"], detail["step2_attempts"]) == (1000, 0)
+            else:
+                assert set(r) == {"seed", "n", "m", "step1_attempts", "step2_attempts",
+                                  "max_label", "label_cap", "collision_census"}
+                assert r["label_cap"] == -(-r["m"] ** 2 // 15)
+                assert r["max_label"] <= r["label_cap"]
 
     def test_lowerbound_shape_records(self):
         cfg = ExperimentConfig(kind="lowerbound", measure="shape", seeds=(3,),
@@ -269,4 +274,4 @@ class TestExperiments:
             "kind": "runiform", "measure": "exact_s", "seeds": [1], "n_vertices": 4,
             "edge_probability": 1, "eps": 0, "delta": 0, "label_divisor": 3,
             "node_budget": None})
-        assert run_experiment(cfg).records[0]["s"] is not None
+        assert "optimum" in run_experiment(cfg).records[0]

@@ -2,8 +2,9 @@
 ``sumlabel/__init__.py`` binds, so a deleted or renamed export cannot
 linger on either side, every public name against the program code
 that uses it, so that no function lives in the library for tests alone,
-and every library name the benchmark's workloads call against the
-package, so that a rename cannot break the benchmark unseen."""
+every library name the benchmark's workloads call against the
+package, so that a rename cannot break the benchmark unseen, and the
+imports of ``generators``, which must stay below every solver."""
 
 import ast
 import importlib
@@ -80,3 +81,19 @@ def test_every_library_name_the_benchmark_calls_resolves():
             return False
         return True
     assert sorted(name for name in dotted if not resolves(name)) == []
+
+
+def test_generators_import_no_solver():
+    # the generators sit below every solver and labeler, so they import only
+    # the error types and the hypergraph; sys.modules cannot show this, since
+    # importing sumlabel.generators runs the package __init__ first
+    tree = ast.parse((ROOT / "src" / "sumlabel" / "generators.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "sumlabel":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "sumlabel")
+    assert imported == {"errors", "hypergraph"}
