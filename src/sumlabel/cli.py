@@ -145,11 +145,8 @@ def _cmd_runiform(args) -> dict[str, Any] | None:
 
 def _cmd_lowerbound(args) -> dict[str, Any] | None:
     gen = generators.lower_bound_instance(args.n, args.m, args.eps, args.seed, args.delta)
-    h = gen.hypergraph
-    return _write_or_print(formats.serialize_hypergraph(h), args.out,
-                           {"n": h.vertex_count, "m": h.edge_count, "seed": args.seed,
-                            "uniformity": gen.uniformity, "core": gen.core_vertex_count,
-                            "padding": gen.padding_vertices})
+    return _write_or_print(formats.serialize_hypergraph(gen.hypergraph), args.out,
+                           {**gen.to_mapping(), "seed": args.seed})
 
 
 def _format_fraction(q: Fraction, exact_mode: bool):

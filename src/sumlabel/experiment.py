@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"measure must be one of {tuple(_MEASURES)}")
         if self.kind == "complete" and not self.sizes:
             raise ValueError("complete experiments need 'sizes'")
+        if self.kind != "complete" and self.sizes:
+            raise ValueError(f"{self.kind} experiments take no 'sizes'")
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
@@ -120,9 +122,7 @@ def _instance_for(config: ExperimentConfig, seed: int, size: int | None) -> tupl
         h = gen_runiform(config.n_vertices, config.uniformity, config.edge_probability, seed)
         return h, {"n": h.vertex_count, "m": h.edge_count}
     gen = lower_bound_instance(config.n_vertices, config.edge_count, config.eps, seed, config.delta)
-    h = gen.hypergraph
-    return h, {"n": h.vertex_count, "m": h.edge_count, "core": gen.core_vertex_count,
-               "padding": gen.padding_vertices}
+    return gen.hypergraph, gen.to_mapping()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

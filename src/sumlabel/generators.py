@@ -73,13 +73,19 @@ def gen_runiform(vertex_count: int, uniformity: int, p: float, seed: int = DEFAU
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """A generated hypergraph plus the construction metadata tests care
-    about (core size, padding)."""
+    """A generated hypergraph plus its construction metadata (uniformity,
+    core size, padding); ``to_mapping`` reports them with the shape, as
+    ``gen lowerbound --out`` and ``lowerbound`` experiment records do."""
 
     hypergraph: Hypergraph
     uniformity: int
     core_vertex_count: int
     padding_vertices: int
+
+    def to_mapping(self) -> dict:
+        h = self.hypergraph
+        return {"n": h.vertex_count, "m": h.edge_count, "uniformity": self.uniformity,
+                "core": self.core_vertex_count, "padding": self.padding_vertices}
 
 
 def lower_bound_instance(n: int, m: int, eps: float, seed: int = DEFAULT_SEED,

@@ -156,10 +156,7 @@ def classify_edges(h: Hypergraph, dangerous_cutoff: int, stray_limit: int) -> Pa
     n = h.vertex_count
     # v lies in the symmetric difference of deg(v) * (m - deg(v)) pairs; its
     # dangerous count leaves out the non-dangerous ones among them
-    degree = [0] * n
-    for e in edges:
-        for v in e:
-            degree[v] += 1
+    degree = list(map(len, h.incidence))
     non_dangerous = [0] * n
     for _, _, diff in _non_dangerous_pairs(edges, dangerous_cutoff):
         for v in diff:

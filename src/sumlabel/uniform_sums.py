@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import exp, isfinite
-from operator import le, sub
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TooLarge
@@ -34,33 +34,24 @@ class Pmf:
     {1, ..., n_values}.  ``counts[t - summands]`` is the number of the
     n_values**summands outcome tuples summing to t.
 
-    Construction validates exactly that the length matches the support,
-    the counts are non-negative, total n_values**summands, equal their
-    own reversal (symmetry about the mean summands * (n_values + 1) / 2)
-    and do not decrease up to the middle (unimodality, given symmetry).
-    :func:`sum_pmf` and :func:`iter_sum_pmfs` compute only the first
-    ceil(len / 2) cells, ``half``, and mirror them.
+    Construction checks the counts in one ordered pass and raises the
+    first fault it finds: (1) summands and n_values are positive, (2) the
+    length matches the support, (3) ``counts`` equals its reversal
+    (symmetry about the mean summands * (n_values + 1) / 2; mirrored cells
+    are the same objects, so this compare is a pointer walk), (4)
+    ``half``, the first ceil(len / 2) cells, equals its own ``sorted``
+    order (timsort makes one compare per cell on a sorted run), (5)
+    ``counts[0] >= 0`` and (6) 2 * sum(half), less the middle cell for
+    odd length, is n_values**summands.  :func:`sum_pmf` and
+    :func:`iter_sum_pmfs` compute only ``half`` and mirror it.
 
-    Fast path: accept at once when (1) ``counts`` equals its reversal
-    (mirrored cells are the same objects, so this compare is a pointer
-    walk), (2) ``counts[0] >= 0``, (3) ``half`` equals its own ``sorted``
-    order (timsort makes one compare per cell on a sorted run, and the
-    list compare then matches by identity), and (4) 2 * sum(half), less
-    the middle cell for odd length, is n_values**summands.  For integer
-    counts these accept exactly what the full checks accept.  (1) and (3)
-    are the symmetry and unimodality checks.  Given both, the smallest
-    count is ``counts[0]``: every cell of ``half`` is at least it, and
-    every later cell mirrors one of ``half``; so (2) is the
-    non-negativity check.  Given (1), the total is twice the sum of the
-    cells before the middle, plus the middle cell for odd length, which
-    is the expression in (4); so (4) is the total check.
-
-    Slow path: when any of the four fails, the full checks run in order
-    (negative count, total, symmetry, unimodality), one whole-tuple pass
-    each, and the first that fails raises, so a rejected tuple gets the
-    same message as from the full checks alone.  Neither path trusts the
-    construction: the total is summed from the counts themselves, so a
-    wrong computed cell is still caught.
+    Given the checks before it, each of (4)-(6) is the whole-tuple check:
+    under symmetry the first half does not decrease exactly when the
+    counts are unimodal (for even length the pair straddling the middle
+    is equal); under symmetry and unimodality ``counts[0]`` is the
+    smallest count; under symmetry the half sum gives the total.  No
+    check trusts the construction: the total is summed from the counts
+    themselves, so a wrong computed cell is still caught.
     """
 
     summands: int
@@ -74,19 +65,15 @@ class Pmf:
         size = len(c)
         if size != ell * (n - 1) + 1:
             raise ValueError("counts length does not match the support")
-        half = c[: (size + 1) // 2]
-        if (c == c[::-1] and c[0] >= 0 and sorted(half) == list(half)
-                and 2 * sum(half) - (half[-1] if size % 2 else 0) == n**ell):
-            return
-        if min(c) < 0:
-            raise ValueError("negative count")
-        if sum(c) != n**ell:
-            raise ValueError("counts do not total n_values**summands")
         if c != c[::-1]:
             raise ValueError("counts not symmetric about the mean")
-        # for even length the pair straddling the middle is equal by symmetry
-        if not all(map(le, half, half[1:])):
+        half = c[: (size + 1) // 2]
+        if sorted(half) != list(half):
             raise ValueError("counts not unimodal about the mean")
+        if c[0] < 0:
+            raise ValueError("negative count")
+        if 2 * sum(half) - (half[-1] if size % 2 else 0) != n**ell:
+            raise ValueError("counts do not total n_values**summands")
 
     @property
     def support_base(self) -> int:

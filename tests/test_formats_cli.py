@@ -875,7 +875,9 @@ class TestCli:
 
     @pytest.mark.parametrize("extra,message", [
         ({"bogus": 1}, "bad experiment config: .*unexpected keyword argument 'bogus'"),
-        ({"measure": "bogus"}, "measure must be one of .*")], ids=["unknown-key", "measure"])
+        ({"measure": "bogus"}, "measure must be one of .*"),
+        ({"kind": "runiform", "sizes": [5, 6]}, "runiform experiments take no 'sizes'")],
+        ids=["unknown-key", "measure", "sizes-on-runiform"])
     def test_experiment_rejects_unknown_key_and_measure(self, capsys, tmp_path, extra, message):
         cfg_file = tmp_path / "exp.json"
         cfg_file.write_text(json.dumps({"kind": "complete", "measure": "exact_s", "sizes": [2],
@@ -884,6 +886,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert re.fullmatch(f"error: {message}\n", captured.err)
+
+    def test_experiment_lowerbound_shape_matches_gen_metadata(self, capsys, tmp_path):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"kind": "lowerbound", "measure": "shape", "seeds": [2],
+                                        "n_vertices": 100, "edge_count": 100, "eps": 0.9}))
+        code, out = self.run(capsys, "experiment", str(cfg_file))
+        assert code == 0
+        record = json.loads(out)["records"][0]
+        code, out = self.run(capsys, "gen", "lowerbound", "100", "100", "0.9", "--seed", "2",
+                             "--out", str(tmp_path / "lb.hg"))
+        assert code == 0
+        meta = json.loads(out)
+        del meta["written"], meta["seed"]
+        assert {k: record[k] for k in meta} == meta and "uniformity" in meta
 
     def test_experiment_complete_size_past_guard_exit_one(self, capsys, tmp_path):
         cfg_file = tmp_path / "exp.json"

@@ -190,12 +190,16 @@ class TestPmfValidation:
     # two summands on [3]: support length 5, total 9, true counts (1, 2, 3, 2, 1)
     @pytest.mark.parametrize("counts,message", [
         ((1, 2, 3, 2), "length does not match"),
-        ((2, -1, 7, -1, 2), "negative count"),
+        # symmetric and unimodal: only the ends are negative
+        ((-1, 2, 7, 2, -1), "negative count"),
         ((1, 2, 2, 2, 1), "do not total"),
         ((1, 2, 3, 3, 0), "not symmetric"),
         # only the pair ending at the middle cell decreases
         ((1, 3, 1, 3, 1), "not unimodal"),
-    ], ids=["length", "negative", "total", "asymmetric", "non_unimodal"])
+        # negative and not unimodal: unimodality is checked before the sign
+        ((2, -1, 7, -1, 2), "not unimodal"),
+    ], ids=["length", "negative", "total", "asymmetric", "non_unimodal",
+            "negative_non_unimodal"])
     def test_rejects(self, counts, message):
         with pytest.raises(ValueError, match=message):
             Pmf(2, 3, counts)
